@@ -1,10 +1,15 @@
 // Microbenchmarks for the matching substrate: min-cost maximum matching on
 // random bipartite graphs shaped like Algorithm 2's auxiliary graphs
-// (few cloudlets x many items), and the min-cost-flow twin.
+// (few cloudlets x many items), the min-cost-flow twin, and the
+// class-structured matcher Algorithm 2 runs against the general Hungarian
+// on the same streaming-sized G_l (the per-call ratio behind the
+// augment_heuristic latency).
 #include <benchmark/benchmark.h>
 
+#include "matching/class_matching.h"
 #include "matching/hungarian.h"
 #include "matching/min_cost_flow.h"
+#include "mec/reliability.h"
 #include "util/rng.h"
 
 namespace {
@@ -65,6 +70,68 @@ void BM_MinCostFlowAssignment(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MinCostFlowAssignment)->Args({10, 300})->Args({10, 1000});
+
+/// One Algorithm 2 round as the streaming service sees it: 7 chain
+/// positions with 2 remaining items each over `cloudlets` cloudlets, each
+/// position allowed on about half of them and a fifth of those too full.
+struct GlShape {
+  std::vector<std::vector<std::uint32_t>> eligible;
+  std::vector<std::vector<double>> costs;
+  std::vector<matching::ItemClass> classes;
+  std::vector<matching::BipartiteEdge> edges;  // the expanded G_l
+  std::size_t num_items = 0;
+};
+
+GlShape stream_gl(std::size_t cloudlets, std::uint64_t seed) {
+  constexpr double kReliabilities[] = {0.8, 0.9, 0.95};
+  util::Rng rng(seed);
+  GlShape g;
+  for (std::uint32_t i = 0; i < 7; ++i) {
+    std::vector<std::uint32_t> eligible;
+    for (std::uint32_t c = 0; c < cloudlets; ++c) {
+      if (rng.bernoulli(0.5) && !rng.bernoulli(0.2)) eligible.push_back(c);
+    }
+    const double r = kReliabilities[rng.index(3)];
+    std::vector<double> costs;
+    for (std::uint32_t k = 1; k <= 2; ++k) {
+      for (const std::uint32_t c : eligible) {
+        g.edges.push_back({c, static_cast<std::uint32_t>(g.num_items),
+                           mec::item_cost(r, k)});
+      }
+      costs.push_back(mec::item_cost(r, k));
+      ++g.num_items;
+    }
+    g.eligible.push_back(std::move(eligible));
+    g.costs.push_back(std::move(costs));
+  }
+  for (std::size_t i = 0; i < g.eligible.size(); ++i) {
+    g.classes.push_back({g.eligible[i], g.costs[i]});
+  }
+  return g;
+}
+
+void BM_ClassMatcherStreamGl(benchmark::State& state) {
+  const auto cloudlets = static_cast<std::size_t>(state.range(0));
+  const GlShape g = stream_gl(cloudlets, 7);
+  matching::ClassMatcher matcher;  // reused, as across Algorithm 2 rounds
+  for (auto _ : state) {
+    const auto& m = matcher.solve(g.classes, cloudlets);
+    benchmark::DoNotOptimize(m.total_cost);
+  }
+  state.counters["items"] = static_cast<double>(g.num_items);
+}
+BENCHMARK(BM_ClassMatcherStreamGl)->Arg(20)->Arg(35)->Arg(50);
+
+void BM_MinCostMaxMatchingStreamGl(benchmark::State& state) {
+  const auto cloudlets = static_cast<std::size_t>(state.range(0));
+  const GlShape g = stream_gl(cloudlets, 7);
+  for (auto _ : state) {
+    auto m = matching::min_cost_max_matching(cloudlets, g.num_items, g.edges);
+    benchmark::DoNotOptimize(m.total_cost);
+  }
+  state.counters["edges"] = static_cast<double>(g.edges.size());
+}
+BENCHMARK(BM_MinCostMaxMatchingStreamGl)->Arg(20)->Arg(35)->Arg(50);
 
 }  // namespace
 

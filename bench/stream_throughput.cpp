@@ -533,7 +533,7 @@ int main(int argc, char** argv) {
                   key.c_str(), 64, grouped_append, pr_append,
                   journaled_append_speedup);
     }
-    scenarios.push_back(io::Json(std::move(entry)));
+    scenarios.emplace_back(std::move(entry));
   }
   root.set("scenarios", io::Json(std::move(scenarios)));
 

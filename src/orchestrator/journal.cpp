@@ -97,9 +97,10 @@ io::Json controller_state_to_json(const ControllerState& state) {
   repairs.reserve(state.repair_queue.size());
   for (const auto& [due, v] : state.repair_queue) {
     io::JsonArray pair;
-    pair.push_back(io::Json(due));
-    pair.push_back(io::Json(v));
-    repairs.push_back(io::Json(std::move(pair)));
+    pair.reserve(2);
+    pair.emplace_back(due);
+    pair.emplace_back(v);
+    repairs.emplace_back(std::move(pair));
   }
   o.set("repair_queue", io::Json(std::move(repairs)));
   o.set("next_batch", io::Json(state.next_batch));
@@ -387,9 +388,7 @@ io::Json make_snapshot_record(const Orchestrator& orch,
   }
   data.set("services", io::Json(std::move(services)));
   io::JsonArray down;
-  for (const graph::NodeId v : orch.down_cloudlets()) {
-    down.push_back(io::Json(v));
-  }
+  for (const graph::NodeId v : orch.down_cloudlets()) down.emplace_back(v);
   data.set("down", io::Json(std::move(down)));
   data.set("next_service", io::Json(orch.next_service_id()));
   data.set("next_instance", io::Json(orch.next_instance_id()));
