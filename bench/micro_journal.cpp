@@ -47,7 +47,7 @@ struct Rates {
 
 /// Appends `n` records under `durability`, flushing every `group` appends
 /// (group <= 1 leaves flushing entirely to the policy). `pad` bytes of
-/// filler approximate larger record kinds. The payload objects are built
+/// filler approximate larger record kinds. The payloads are encoded
 /// OUTSIDE the timed region: payload construction is identical under every
 /// policy, so timing it would only dilute the write-scheduling contrast
 /// this bench exists to measure.
@@ -55,13 +55,13 @@ Rates run_case(const std::string& path,
                const orchestrator::Durability& durability, std::size_t group,
                std::size_t n, std::size_t pad) {
   const std::string filler(pad, 'x');
-  std::vector<io::Json> payloads;
+  std::vector<std::string> payloads;
   payloads.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     io::JsonObject data;
     data.set("service", static_cast<std::int64_t>(i));
     if (pad > 0) data.set("pad", filler);
-    payloads.emplace_back(std::move(data));
+    payloads.push_back(io::Json(std::move(data)).dump());
   }
 
   orchestrator::Journal journal(path, orchestrator::Journal::Mode::kTruncate,
@@ -70,7 +70,7 @@ Rates run_case(const std::string& path,
   for (std::size_t i = 0; i < n; ++i) {
     (void)journal.append(orchestrator::kJournalTeardown,
                          static_cast<double>(i) * 1e-3,
-                         std::move(payloads[i]));
+                         payloads[i]);
     if (group > 1 && (i + 1) % group == 0) journal.flush();
   }
   journal.flush();

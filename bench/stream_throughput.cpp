@@ -169,14 +169,11 @@ double append_rate(const std::string& path,
                    const orchestrator::Durability& durability,
                    std::size_t group, std::size_t n,
                    double* bytes_per_second) {
-  // Payload objects are pre-built so the timer covers only the journal's own
-  // append + flush path; construction cost is identical in both legs.
-  std::vector<io::Json> payloads;
-  payloads.reserve(n);
+  // Payloads are pre-encoded so the timer covers only the journal's own
+  // append + flush path; encoding cost is identical in both legs.
+  std::vector<std::string> payloads(n);
   for (std::size_t i = 0; i < n; ++i) {
-    io::JsonObject data;
-    data.set("service", static_cast<std::int64_t>(i));
-    payloads.emplace_back(std::move(data));
+    orchestrator::encode_teardown_record(payloads[i], i);
   }
   orchestrator::Journal journal(path, orchestrator::Journal::Mode::kTruncate,
                                 durability);
@@ -184,7 +181,7 @@ double append_rate(const std::string& path,
   for (std::size_t i = 0; i < n; ++i) {
     (void)journal.append(orchestrator::kJournalTeardown,
                          static_cast<double>(i) * 1e-3,
-                         std::move(payloads[i]));
+                         payloads[i]);
     if (group > 1 && (i + 1) % group == 0) journal.flush();
   }
   journal.flush();

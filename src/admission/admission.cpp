@@ -17,17 +17,23 @@ double initial_reliability(const mec::VnfCatalog& catalog,
   return u;
 }
 
-std::optional<PrimaryPlacement> random_admission_within(
+namespace {
+
+/// The draw loop of random_admission over `candidates`: each primary goes
+/// to a uniformly random candidate with room for it. `feasible` and
+/// `touched` are caller scratch.
+std::optional<PrimaryPlacement> draw_primaries(
     mec::MecNetwork& network, const mec::VnfCatalog& catalog,
     const mec::SfcRequest& request,
-    const std::vector<graph::NodeId>& candidates, util::Rng& rng) {
+    const std::vector<graph::NodeId>& candidates, util::Rng& rng,
+    std::vector<graph::NodeId>& feasible,
+    std::vector<std::pair<graph::NodeId, double>>& touched) {
   PrimaryPlacement placement;
   placement.cloudlet_of.reserve(request.length());
   // Rollback restores the CAPTURED pre-consume residuals (newest first)
   // rather than releasing the amounts back: (r - x) + x can drift by an
   // ulp, and crash recovery needs failed attempts to be exactly invisible.
-  std::vector<std::pair<graph::NodeId, double>> touched;
-  std::vector<graph::NodeId> feasible;
+  touched.clear();
   for (mec::FunctionId f : request.chain) {
     const double demand = catalog.function(f).cpu_demand;
     feasible.clear();
@@ -48,11 +54,62 @@ std::optional<PrimaryPlacement> random_admission_within(
   return placement;
 }
 
+}  // namespace
+
 std::optional<PrimaryPlacement> random_admission(
     mec::MecNetwork& network, const mec::VnfCatalog& catalog,
     const mec::SfcRequest& request, util::Rng& rng) {
-  return random_admission_within(network, catalog, request,
-                                 network.cloudlets(), rng);
+  std::vector<graph::NodeId> feasible;
+  std::vector<std::pair<graph::NodeId, double>> touched;
+  return draw_primaries(network, catalog, request, network.cloudlets(), rng,
+                        feasible, touched);
+}
+
+PrimaryPool::PrimaryPool(const mec::VnfCatalog& catalog,
+                         const std::vector<graph::NodeId>& candidates)
+    : catalog_(catalog),
+      candidates_(candidates),
+      min_demand_(std::numeric_limits<double>::infinity()),
+      bound_(std::numeric_limits<double>::infinity()),
+      live_(candidates) {
+  for (const mec::NetworkFunction& fn : catalog.functions()) {
+    min_demand_ = std::min(min_demand_, fn.cpu_demand);
+  }
+}
+
+void PrimaryPool::invalidate() {
+  live_ = candidates_;
+  bound_ = std::numeric_limits<double>::infinity();
+}
+
+std::optional<PrimaryPlacement> PrimaryPool::place(
+    mec::MecNetwork& network, const mec::SfcRequest& request,
+    std::uint64_t seed) {
+  double need = -std::numeric_limits<double>::infinity();
+  for (mec::FunctionId f : request.chain) {
+    need = std::max(need, catalog_.function(f).cpu_demand);
+  }
+  if (need > bound_) {
+    ++bound_rejections_;
+    return std::nullopt;
+  }
+  // One pass: drop what can host nothing any more and keep the exact
+  // maximum. A dropped candidate's residual is below every demand, so the
+  // feasible lists of the draw loop equal those over `candidates_`.
+  double max_residual = -std::numeric_limits<double>::infinity();
+  std::size_t kept = 0;
+  for (const graph::NodeId v : live_) {
+    const double r = network.residual(v);
+    if (r < min_demand_) continue;
+    live_[kept++] = v;
+    max_residual = std::max(max_residual, r);
+  }
+  live_.resize(kept);
+  bound_ = max_residual;
+  if (need > bound_) return std::nullopt;
+  util::Rng rng(seed);
+  return draw_primaries(network, catalog_, request, live_, rng, feasible_,
+                        touched_);
 }
 
 namespace {
@@ -156,7 +213,7 @@ std::optional<PrimaryPlacement> dag_admission(
     const mec::SfcRequest& request, const DagAdmissionOptions& options) {
   PrimaryPlacement placement;
   // (node, pre-consume residual), newest restored first: exact rollback,
-  // see random_admission_within.
+  // see draw_primaries.
   std::vector<std::pair<graph::NodeId, double>> touched;
   auto rollback = [&] {
     for (auto it = touched.rbegin(); it != touched.rend(); ++it) {

@@ -16,7 +16,9 @@
 // primary; callers that only probe should work on a copy.
 #pragma once
 
+#include <cstdint>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "mec/network.h"
@@ -47,16 +49,66 @@ struct PrimaryPlacement {
     mec::MecNetwork& network, const mec::VnfCatalog& catalog,
     const mec::SfcRequest& request, util::Rng& rng);
 
-/// random_admission restricted to a candidate cloudlet subset: primaries
-/// are drawn uniformly from `candidates` (which must be cloudlet nodes)
-/// instead of the full cloudlet set. Draw-for-draw identical to
-/// random_admission when `candidates` equals network.cloudlets(). The
-/// sharded batch path (orchestrator::Orchestrator::admit_batch) uses this
-/// to confine a request's primaries to the interior of one region shard.
-[[nodiscard]] std::optional<PrimaryPlacement> random_admission_within(
-    mec::MecNetwork& network, const mec::VnfCatalog& catalog,
-    const mec::SfcRequest& request,
-    const std::vector<graph::NodeId>& candidates, util::Rng& rng);
+/// random_admission over a fixed candidate list, for one pass of many
+/// requests that each seed their own Rng: the sharded batch path
+/// (orchestrator::Orchestrator::admit_batch) keeps one pool per shard per
+/// batch, over the shard's interior cloudlets, and one for its serial
+/// fallback pass, over every cloudlet.
+///
+/// The pool leans on one property of such a pass: between two place()
+/// calls residuals only fall (consumes, and rollbacks to captured values).
+/// At the start of each request it re-reads the residuals, drops for good
+/// the candidates below the catalog's smallest demand (they can host
+/// nothing for the rest of the pass) and keeps the exact largest residual.
+/// That maximum stays an upper bound until the next read, so a request
+/// whose largest demand exceeds it is rejected in O(chain) before its Rng
+/// is even seeded. Otherwise it draws exactly as random_admission does over
+/// the remaining candidates, which filter to the same feasible lists, so
+/// the placement and the residuals left behind are identical draw for
+/// draw (asserted against random_admission in tests/admission_test.cpp).
+///
+/// A caller that RAISES a candidate's residual (a release) must call
+/// invalidate() before the next place(): release is not bit-exact, so the
+/// stored bound and the dropped candidates can no longer be trusted.
+///
+/// Thread safety: none; one pool per thread, over candidates no other
+/// thread writes during the pass.
+class PrimaryPool {
+ public:
+  /// `candidates` (cloudlet nodes, in draw order) must outlive the pool.
+  PrimaryPool(const mec::VnfCatalog& catalog,
+              const std::vector<graph::NodeId>& candidates);
+
+  /// random_admission over the pool's candidates with a fresh
+  /// util::Rng(seed), seeded only when the request is not rejected by the
+  /// bound. Consumes capacity on success; consumes nothing otherwise.
+  [[nodiscard]] std::optional<PrimaryPlacement> place(
+      mec::MecNetwork& network, const mec::SfcRequest& request,
+      std::uint64_t seed);
+
+  /// Forgets the bound and restores every candidate (see the class note).
+  void invalidate();
+
+  /// Candidates still considered (those not yet dropped).
+  [[nodiscard]] std::size_t live() const noexcept { return live_.size(); }
+  /// Requests rejected by the bound alone, without a residual read or an
+  /// Rng.
+  [[nodiscard]] std::size_t bound_rejections() const noexcept {
+    return bound_rejections_;
+  }
+
+ private:
+  const mec::VnfCatalog& catalog_;
+  const std::vector<graph::NodeId>& candidates_;
+  double min_demand_;
+  /// Upper bound on the residual of every live candidate; +inf = unknown.
+  double bound_;
+  std::vector<graph::NodeId> live_;
+  std::size_t bound_rejections_ = 0;
+  // Per-request scratch, reused across requests.
+  std::vector<graph::NodeId> feasible_;
+  std::vector<std::pair<graph::NodeId, double>> touched_;
+};
 
 struct DagAdmissionOptions {
   /// Per-cloudlet availability multiplier applied to every instance placed

@@ -1,9 +1,8 @@
 #include "orchestrator/journal.h"
 
+#include <algorithm>
 #include <array>
 #include <filesystem>
-#include <iterator>
-#include <set>
 #include <utility>
 
 #include "io/scenario_io.h"
@@ -15,30 +14,52 @@ namespace mecra::orchestrator {
 
 namespace {
 
-constexpr std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+/// Slice-by-8 tables for the reflected IEEE polynomial: row 0 is the
+/// classic bytewise table, row k advances a byte through k further zero
+/// bytes, so eight input bytes fold into the CRC with eight lookups.
+constexpr std::array<std::array<std::uint32_t, 256>, 8> make_crc_tables() {
+  std::array<std::array<std::uint32_t, 256>, 8> tables{};
   for (std::uint32_t n = 0; n < 256; ++n) {
     std::uint32_t c = n;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    table[n] = c;
+    tables[0][n] = c;
   }
-  return table;
+  for (std::uint32_t n = 0; n < 256; ++n) {
+    for (std::size_t k = 1; k < 8; ++k) {
+      const std::uint32_t prev = tables[k - 1][n];
+      tables[k][n] = tables[0][prev & 0xffu] ^ (prev >> 8);
+    }
+  }
+  return tables;
 }
 
-io::Json instance_to_json(const Instance& inst) {
+/// Appends an integer field exactly as io::Json prints it: the tree
+/// stores every number as a double, so the value goes through the same
+/// conversion (ids beyond 2^53 would lose precision there too, hence the
+/// explicit id checks below).
+template <typename T>
+void put_int(std::string& out, T value) {
+  io::dump_number_append(out, static_cast<double>(value));
+}
+
+void encode_instance(std::string& out, const Instance& inst) {
   // Ids round-trip through double; anything near 2^53 (in particular the
   // orchestrator's pending-id sentinel) must never reach a record.
   MECRA_CHECK_MSG(inst.id < (1ULL << 53),
                   "journal: instance id too large to serialize");
-  io::JsonObject o;
-  o.set("id", io::Json(inst.id));
-  o.set("pos", io::Json(inst.chain_pos));
-  o.set("cloudlet", io::Json(inst.cloudlet));
-  o.set("role", io::Json(static_cast<int>(inst.role)));
-  o.set("state", io::Json(static_cast<int>(inst.state)));
-  return {std::move(o)};
+  out += "{\"id\":";
+  put_int(out, inst.id);
+  out += ",\"pos\":";
+  put_int(out, inst.chain_pos);
+  out += ",\"cloudlet\":";
+  put_int(out, inst.cloudlet);
+  out += ",\"role\":";
+  put_int(out, static_cast<int>(inst.role));
+  out += ",\"state\":";
+  put_int(out, static_cast<int>(inst.state));
+  out += '}';
 }
 
 Instance instance_from_json(const io::Json& json) {
@@ -52,20 +73,39 @@ Instance instance_from_json(const io::Json& json) {
   return inst;
 }
 
-io::Json service_to_json(const Service& svc) {
+/// The io::to_json(const mec::SfcRequest&) object, encoded directly.
+void encode_request(std::string& out, const mec::SfcRequest& request) {
+  out += "{\"id\":";
+  put_int(out, request.id);
+  out += ",\"chain\":[";
+  for (std::size_t i = 0; i < request.chain.size(); ++i) {
+    if (i != 0) out += ',';
+    put_int(out, request.chain[i]);
+  }
+  out += "],\"expectation\":";
+  io::dump_number_append(out, request.expectation);
+  out += ",\"source\":";
+  put_int(out, request.source);
+  out += ",\"destination\":";
+  put_int(out, request.destination);
+  out += '}';
+}
+
+void encode_service(std::string& out, const Service& svc) {
   MECRA_CHECK_MSG(svc.id < (1ULL << 53),
                   "journal: service id too large to serialize");
-  io::JsonObject o;
-  o.set("id", io::Json(svc.id));
-  o.set("request", io::to_json(svc.request));
-  o.set("state", io::Json(static_cast<int>(svc.state)));
-  io::JsonArray instances;
-  instances.reserve(svc.instances.size());
-  for (const Instance& inst : svc.instances) {
-    instances.push_back(instance_to_json(inst));
+  out += "{\"id\":";
+  put_int(out, svc.id);
+  out += ",\"request\":";
+  encode_request(out, svc.request);
+  out += ",\"state\":";
+  put_int(out, static_cast<int>(svc.state));
+  out += ",\"instances\":[";
+  for (std::size_t i = 0; i < svc.instances.size(); ++i) {
+    if (i != 0) out += ',';
+    encode_instance(out, svc.instances[i]);
   }
-  o.set("instances", io::Json(std::move(instances)));
-  return {std::move(o)};
+  out += "]}";
 }
 
 Service service_from_json(const io::Json& json) {
@@ -152,24 +192,25 @@ ControllerState controller_state_from_json(const io::Json& json) {
 /// services, ascending node id, as [[node, residual], ...]. Replay
 /// installs these verbatim (see the file comment on why the consume
 /// arithmetic is not replayed).
-io::Json touched_residuals(const mec::MecNetwork& network,
-                           const std::vector<const Service*>& services) {
-  std::set<graph::NodeId> nodes;
+void encode_touched_residuals(std::string& out,
+                              const mec::MecNetwork& network,
+                              const std::vector<const Service*>& services) {
+  std::vector<graph::NodeId> nodes;
   for (const Service* svc : services) {
-    for (const Instance& inst : svc->instances) nodes.insert(inst.cloudlet);
+    for (const Instance& inst : svc->instances) nodes.push_back(inst.cloudlet);
   }
-  // Assigned into pre-sized slots rather than push_back'd: moving Json
-  // temporaries through vector growth trips a gcc-12 std::variant
-  // -Wmaybe-uninitialized false positive under -O2.
-  io::JsonArray arr(nodes.size());
-  std::size_t i = 0;
-  for (const graph::NodeId v : nodes) {
-    io::JsonArray pair(2);
-    pair[0] = io::Json(v);
-    pair[1] = io::Json(network.residual(v));
-    arr[i++] = io::Json(std::move(pair));
+  std::sort(nodes.begin(), nodes.end());
+  nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
+  out += '[';
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    if (i != 0) out += ',';
+    out += '[';
+    put_int(out, nodes[i]);
+    out += ',';
+    io::dump_number_append(out, network.residual(nodes[i]));
+    out += ']';
   }
-  return io::Json(std::move(arr));
+  out += ']';
 }
 
 /// Applies a record's "residuals" array to the recovering orchestrator.
@@ -182,33 +223,110 @@ void apply_residuals(Orchestrator& orch, const io::Json& json) {
   }
 }
 
-void put_u32_le(std::string& out, std::uint32_t x) {
-  out.push_back(static_cast<char>(x & 0xffu));
-  out.push_back(static_cast<char>((x >> 8) & 0xffu));
-  out.push_back(static_cast<char>((x >> 16) & 0xffu));
-  out.push_back(static_cast<char>((x >> 24) & 0xffu));
+void put_u32_le(char* out, std::uint32_t x) {
+  out[0] = static_cast<char>(x & 0xffu);
+  out[1] = static_cast<char>((x >> 8) & 0xffu);
+  out[2] = static_cast<char>((x >> 16) & 0xffu);
+  out[3] = static_cast<char>((x >> 24) & 0xffu);
 }
 
-std::uint32_t get_u32_le(const std::string& bytes, std::size_t at) {
-  return static_cast<std::uint32_t>(static_cast<unsigned char>(bytes[at])) |
-         (static_cast<std::uint32_t>(
-              static_cast<unsigned char>(bytes[at + 1]))
-          << 8) |
-         (static_cast<std::uint32_t>(
-              static_cast<unsigned char>(bytes[at + 2]))
-          << 16) |
-         (static_cast<std::uint32_t>(
-              static_cast<unsigned char>(bytes[at + 3]))
-          << 24);
+std::uint32_t get_u32_le(const char* bytes) {
+  const auto* b = reinterpret_cast<const unsigned char*>(bytes);
+  return static_cast<std::uint32_t>(b[0]) |
+         static_cast<std::uint32_t>(b[1]) << 8 |
+         static_cast<std::uint32_t>(b[2]) << 16 |
+         static_cast<std::uint32_t>(b[3]) << 24;
+}
+
+/// What a pass over a journal file found besides its records.
+struct FrameSummary {
+  std::uint64_t records = 0;
+  bool torn_tail = false;
+  std::uint64_t bytes_used = 0;
+};
+
+/// Reads the journal one frame at a time and hands each complete, checked
+/// record to `visit` before reading the next, so at most one decoded
+/// record is alive at once. Enforces the torn-tail and mid-file checksum
+/// rules and the sequence chain (see scan_journal). A missing file reads
+/// as an empty journal.
+template <typename Visit>
+FrameSummary for_each_record(const std::string& path, Visit&& visit) {
+  FrameSummary summary;
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  if (!in.is_open()) return summary;  // absent file == empty journal
+  const auto size = static_cast<std::uint64_t>(in.tellg());
+  in.seekg(0);
+  std::uint64_t pos = 0;
+  std::string payload;
+  while (pos < size) {
+    char header[8];
+    if (size - pos < 8) {
+      summary.torn_tail = true;  // crash inside a frame header
+      break;
+    }
+    in.read(header, sizeof header);
+    const std::uint32_t len = get_u32_le(header);
+    const std::uint32_t crc = get_u32_le(header + 4);
+    if (size - pos - 8 < len) {
+      summary.torn_tail = true;  // crash inside the payload
+      break;
+    }
+    payload.resize(len);
+    in.read(payload.data(), static_cast<std::streamsize>(len));
+    MECRA_CHECK_MSG(in.good(), "journal: read failed on " + path);
+    if (journal_crc32(payload) != crc) {
+      // A bad checksum on the FINAL frame is a torn write (the length
+      // header landed but the payload did not finish); anywhere else it is
+      // silent corruption and must not be skipped over.
+      MECRA_CHECK_MSG(
+          pos + 8 + len == size,
+          "journal corrupt: checksum mismatch mid-file at offset " +
+              std::to_string(pos) + " of " + path);
+      summary.torn_tail = true;
+      break;
+    }
+    JournalRecord rec;
+    rec.payload = io::Json::parse(payload);
+    const io::JsonObject& obj = rec.payload.as_object();
+    MECRA_CHECK_MSG(obj.at("v").as_int() == kJournalFormatVersion,
+                    "journal: unsupported format version in " + path);
+    rec.seq = static_cast<std::uint64_t>(obj.at("seq").as_int());
+    rec.time = obj.at("t").as_double();
+    rec.kind = obj.at("kind").as_string();
+    MECRA_CHECK_MSG(rec.seq == summary.records,
+                    "journal corrupt: sequence gap at offset " +
+                        std::to_string(pos) + " of " + path);
+    ++summary.records;
+    pos += 8 + len;
+    summary.bytes_used = pos;
+    visit(std::move(rec));
+  }
+  return summary;
 }
 
 }  // namespace
 
 std::uint32_t journal_crc32(std::string_view bytes) {
-  static constexpr std::array<std::uint32_t, 256> kTable = make_crc_table();
+  static constexpr std::array<std::array<std::uint32_t, 256>, 8> kTables =
+      make_crc_tables();
+  const auto* p = reinterpret_cast<const unsigned char*>(bytes.data());
+  std::size_t n = bytes.size();
   std::uint32_t crc = 0xFFFFFFFFu;
-  for (const char c : bytes) {
-    crc = kTable[(crc ^ static_cast<unsigned char>(c)) & 0xffu] ^ (crc >> 8);
+  // The word is assembled byte by byte (little-endian by construction), so
+  // the result does not depend on the host's byte order.
+  for (; n >= 8; p += 8, n -= 8) {
+    const std::uint32_t lo = crc ^ (static_cast<std::uint32_t>(p[0]) |
+                                    static_cast<std::uint32_t>(p[1]) << 8 |
+                                    static_cast<std::uint32_t>(p[2]) << 16 |
+                                    static_cast<std::uint32_t>(p[3]) << 24);
+    crc = kTables[7][lo & 0xffu] ^ kTables[6][(lo >> 8) & 0xffu] ^
+          kTables[5][(lo >> 16) & 0xffu] ^ kTables[4][lo >> 24] ^
+          kTables[3][p[4]] ^ kTables[2][p[5]] ^ kTables[1][p[6]] ^
+          kTables[0][p[7]];
+  }
+  for (; n > 0; ++p, --n) {
+    crc = kTables[0][(crc ^ *p) & 0xffu] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
 }
@@ -254,12 +372,12 @@ std::string Durability::to_string() const {
 Journal::Journal(std::string path, Mode mode, Durability durability)
     : path_(std::move(path)), durability_(durability) {
   if (mode == Mode::kContinue) {
-    const JournalScan scan = scan_journal(path_);
+    const FrameSummary scan = for_each_record(path_, [](JournalRecord&&) {});
     if (scan.torn_tail) {
       // Drop the half-written frame so the next append starts a clean one.
       std::filesystem::resize_file(path_, scan.bytes_used);
     }
-    next_seq_ = scan.records.empty() ? 0 : scan.records.back().seq + 1;
+    next_seq_ = scan.records;
     out_.open(path_, std::ios::binary | std::ios::app);
   } else {
     out_.open(path_, std::ios::binary | std::ios::trunc);
@@ -284,36 +402,36 @@ void Journal::set_durability(Durability durability) {
 }
 
 std::uint64_t Journal::append(std::string_view kind, double time,
-                              io::Json data) {
+                              std::string_view data) {
   MECRA_CHECK_MSG(!wedged_, "journal is wedged after a torn write");
-  // Hand-assembled record envelope, serialized straight into the reusable
-  // scratch buffer. Building a JsonObject wrapper (five allocating inserts
-  // plus the temporary dump() returns) costs more than the physical write
-  // it frames; the io::dump_* building blocks produce output byte-identical
-  // to that wrapper's dump (asserted in tests/journal_test.cpp).
-  std::string& payload = payload_scratch_;
-  payload.clear();
-  payload += "{\"v\":";
-  io::dump_number_append(payload, kJournalFormatVersion);
-  payload += ",\"seq\":";
-  io::dump_number_append(payload, static_cast<double>(next_seq_));
-  payload += ",\"t\":";
-  io::dump_number_append(payload, time);
-  payload += ",\"kind\":";
-  io::dump_string_append(payload, kind);
-  payload += ",\"data\":";
-  data.dump_append(payload);
-  payload += '}';
-  MECRA_CHECK(payload.size() < 0xFFFFFFFFull);
-
-  // Frame into the pending group. Frames are self-delimiting, so one
-  // contiguous write of the group later is byte-identical to writing each
-  // frame as it was appended.
-  pending_frames_.push_back(pending_.size());
-  pending_.reserve(pending_.size() + 8 + payload.size());
-  put_u32_le(pending_, static_cast<std::uint32_t>(payload.size()));
-  put_u32_le(pending_, journal_crc32(payload));
-  pending_ += payload;
+  // The frame is assembled in place at the end of the pending group: a
+  // placeholder header, the hand-written record envelope around `data`
+  // (byte-identical to the JsonObject-wrapper dump, asserted in
+  // tests/journal_test.cpp), then the real length and checksum. Frames are
+  // self-delimiting, so one contiguous write of the group later is
+  // byte-identical to writing each frame as it was appended.
+  const std::size_t start = pending_.size();
+  pending_.append(8, '\0');
+  pending_ += "{\"v\":";
+  io::dump_number_append(pending_, kJournalFormatVersion);
+  pending_ += ",\"seq\":";
+  io::dump_number_append(pending_, static_cast<double>(next_seq_));
+  pending_ += ",\"t\":";
+  io::dump_number_append(pending_, time);
+  pending_ += ",\"kind\":";
+  io::dump_string_append(pending_, kind);
+  pending_ += ",\"data\":";
+  pending_ += data;
+  pending_ += '}';
+  const std::size_t size = pending_.size() - start - 8;
+  if (size >= 0xFFFFFFFFull) {
+    pending_.resize(start);
+    MECRA_CHECK_MSG(false, "journal: record too large to frame");
+  }
+  put_u32_le(&pending_[start], static_cast<std::uint32_t>(size));
+  put_u32_le(&pending_[start + 4],
+             journal_crc32(std::string_view(pending_).substr(start + 8)));
+  pending_frames_.push_back(start);
 
   const std::uint64_t seq = next_seq_++;
   switch (durability_.policy) {
@@ -377,169 +495,147 @@ void Journal::flush_pending() {
   pending_frames_.clear();
 }
 
-io::Json make_snapshot_record(const Orchestrator& orch,
-                              const Controller& controller) {
-  io::JsonObject data;
-  data.set("network", io::to_json(orch.network()));
-  data.set("catalog", io::to_json(orch.catalog()));
-  io::JsonArray services;
+void encode_snapshot_record(std::string& out, const Orchestrator& orch,
+                            const Controller& controller) {
+  out += "{\"network\":";
+  io::to_json(orch.network()).dump_append(out);
+  out += ",\"catalog\":";
+  io::to_json(orch.catalog()).dump_append(out);
+  out += ",\"services\":[";
+  bool first = true;
   for (const ServiceId id : orch.services()) {
-    services.push_back(service_to_json(orch.service(id)));
+    if (!first) out += ',';
+    first = false;
+    encode_service(out, orch.service(id));
   }
-  data.set("services", io::Json(std::move(services)));
-  io::JsonArray down;
-  for (const graph::NodeId v : orch.down_cloudlets()) down.emplace_back(v);
-  data.set("down", io::Json(std::move(down)));
-  data.set("next_service", io::Json(orch.next_service_id()));
-  data.set("next_instance", io::Json(orch.next_instance_id()));
-  data.set("has_shard_map", io::Json(orch.has_shard_map()));
-  data.set("controller", controller_state_to_json(controller.state()));
-  return io::Json(std::move(data));
+  out += "],\"down\":[";
+  first = true;
+  for (const graph::NodeId v : orch.down_cloudlets()) {
+    if (!first) out += ',';
+    first = false;
+    put_int(out, v);
+  }
+  out += "],\"next_service\":";
+  put_int(out, orch.next_service_id());
+  out += ",\"next_instance\":";
+  put_int(out, orch.next_instance_id());
+  out += ",\"has_shard_map\":";
+  out += orch.has_shard_map() ? "true" : "false";
+  out += ",\"controller\":";
+  controller_state_to_json(controller.state()).dump_append(out);
+  out += '}';
 }
 
-io::Json make_admit_record(const Orchestrator& orch, const Service& svc) {
-  io::JsonObject data;
-  data.set("service", service_to_json(svc));
-  data.set("residuals", touched_residuals(orch.network(), {&svc}));
-  return io::Json(std::move(data));
+void encode_admit_record(std::string& out, const Orchestrator& orch,
+                         const Service& svc) {
+  out += "{\"service\":";
+  encode_service(out, svc);
+  out += ",\"residuals\":";
+  encode_touched_residuals(out, orch.network(), {&svc});
+  out += '}';
 }
 
-io::Json make_batch_record(const Orchestrator& orch,
-                           const std::vector<const Service*>& admitted) {
-  io::JsonObject data;
-  io::JsonArray services;
-  services.reserve(admitted.size());
-  for (const Service* svc : admitted) {
-    services.push_back(service_to_json(*svc));
+void encode_batch_record(std::string& out, const Orchestrator& orch,
+                         const std::vector<const Service*>& admitted) {
+  out += "{\"services\":[";
+  for (std::size_t i = 0; i < admitted.size(); ++i) {
+    if (i != 0) out += ',';
+    encode_service(out, *admitted[i]);
   }
-  data.set("services", io::Json(std::move(services)));
-  data.set("residuals", touched_residuals(orch.network(), admitted));
+  out += "],\"residuals\":";
+  encode_touched_residuals(out, orch.network(), admitted);
   // Batches burn ids only for admitted requests, but recovery still resets
   // the counters explicitly so departed-then-crashed histories replay to
   // the same next ids.
-  data.set("next_service", io::Json(orch.next_service_id()));
-  data.set("next_instance", io::Json(orch.next_instance_id()));
-  return io::Json(std::move(data));
+  out += ",\"next_service\":";
+  put_int(out, orch.next_service_id());
+  out += ",\"next_instance\":";
+  put_int(out, orch.next_instance_id());
+  out += '}';
 }
 
-io::Json make_teardown_record(ServiceId service) {
-  io::JsonObject data;
-  data.set("service", io::Json(service));
-  return io::Json(std::move(data));
+void encode_teardown_record(std::string& out, ServiceId service) {
+  out += "{\"service\":";
+  put_int(out, service);
+  out += '}';
 }
 
 std::uint64_t Journal::snapshot(const Orchestrator& orch,
                                 const Controller& controller, double time) {
-  return append(kJournalSnapshot, time, make_snapshot_record(orch, controller));
+  data_scratch_.clear();
+  encode_snapshot_record(data_scratch_, orch, controller);
+  return append(kJournalSnapshot, time, data_scratch_);
 }
 
 std::uint64_t Journal::admit(const Orchestrator& orch, const Service& svc,
                              double time) {
-  return append(kJournalAdmit, time, make_admit_record(orch, svc));
+  data_scratch_.clear();
+  encode_admit_record(data_scratch_, orch, svc);
+  return append(kJournalAdmit, time, data_scratch_);
 }
 
 std::uint64_t Journal::batch_commit(
     const Orchestrator& orch, const std::vector<const Service*>& admitted,
     double time) {
-  return append(kJournalBatch, time, make_batch_record(orch, admitted));
+  data_scratch_.clear();
+  encode_batch_record(data_scratch_, orch, admitted);
+  return append(kJournalBatch, time, data_scratch_);
 }
 
 std::uint64_t Journal::instance_failure(ServiceId service, InstanceId instance,
                                         double time) {
-  io::JsonObject data;
-  data.set("service", io::Json(service));
-  data.set("instance", io::Json(instance));
-  return append(kJournalInstanceFailure, time, io::Json(std::move(data)));
+  data_scratch_.clear();
+  data_scratch_ += "{\"service\":";
+  put_int(data_scratch_, service);
+  data_scratch_ += ",\"instance\":";
+  put_int(data_scratch_, instance);
+  data_scratch_ += '}';
+  return append(kJournalInstanceFailure, time, data_scratch_);
 }
 
 std::uint64_t Journal::cloudlet_outage(graph::NodeId v, double time) {
-  io::JsonObject data;
-  data.set("cloudlet", io::Json(v));
-  return append(kJournalCloudletOutage, time, io::Json(std::move(data)));
+  data_scratch_.clear();
+  data_scratch_ += "{\"cloudlet\":";
+  put_int(data_scratch_, v);
+  data_scratch_ += '}';
+  return append(kJournalCloudletOutage, time, data_scratch_);
 }
 
 std::uint64_t Journal::repair(graph::NodeId v, double time) {
-  io::JsonObject data;
-  data.set("cloudlet", io::Json(v));
-  return append(kJournalRepair, time, io::Json(std::move(data)));
+  data_scratch_.clear();
+  data_scratch_ += "{\"cloudlet\":";
+  put_int(data_scratch_, v);
+  data_scratch_ += '}';
+  return append(kJournalRepair, time, data_scratch_);
 }
 
 std::uint64_t Journal::teardown(ServiceId service, double time) {
-  return append(kJournalTeardown, time, make_teardown_record(service));
+  data_scratch_.clear();
+  encode_teardown_record(data_scratch_, service);
+  return append(kJournalTeardown, time, data_scratch_);
 }
 
 std::uint64_t Journal::reconcile_mark(double time) {
-  return append(kJournalReconcile, time, io::Json(io::JsonObject{}));
+  return append(kJournalReconcile, time, "{}");
 }
 
 JournalScan scan_journal(const std::string& path) {
   JournalScan scan;
-  std::ifstream in(path, std::ios::binary);
-  if (!in.is_open()) return scan;  // absent file == empty journal
-  const std::string bytes((std::istreambuf_iterator<char>(in)),
-                          std::istreambuf_iterator<char>());
-  std::size_t pos = 0;
-  std::uint64_t expected_seq = 0;
-  while (pos < bytes.size()) {
-    if (bytes.size() - pos < 8) {
-      scan.torn_tail = true;  // crash inside a frame header
-      break;
-    }
-    const std::uint32_t len = get_u32_le(bytes, pos);
-    const std::uint32_t crc = get_u32_le(bytes, pos + 4);
-    if (bytes.size() - pos - 8 < len) {
-      scan.torn_tail = true;  // crash inside the payload
-      break;
-    }
-    const std::string payload = bytes.substr(pos + 8, len);
-    if (journal_crc32(payload) != crc) {
-      // A bad checksum on the FINAL frame is a torn write (the length
-      // header landed but the payload did not finish); anywhere else it is
-      // silent corruption and must not be skipped over.
-      MECRA_CHECK_MSG(
-          pos + 8 + len == bytes.size(),
-          "journal corrupt: checksum mismatch mid-file at offset " +
-              std::to_string(pos) + " of " + path);
-      scan.torn_tail = true;
-      break;
-    }
-    JournalRecord rec;
-    rec.payload = io::Json::parse(payload);
-    const io::JsonObject& obj = rec.payload.as_object();
-    MECRA_CHECK_MSG(obj.at("v").as_int() == kJournalFormatVersion,
-                    "journal: unsupported format version in " + path);
-    rec.seq = static_cast<std::uint64_t>(obj.at("seq").as_int());
-    rec.time = obj.at("t").as_double();
-    rec.kind = obj.at("kind").as_string();
-    MECRA_CHECK_MSG(rec.seq == expected_seq,
-                    "journal corrupt: sequence gap at offset " +
-                        std::to_string(pos) + " of " + path);
-    ++expected_seq;
-    scan.records.push_back(std::move(rec));
-    pos += 8 + len;
-    scan.bytes_used = pos;
-  }
+  const FrameSummary summary = for_each_record(
+      path, [&](JournalRecord&& rec) { scan.records.push_back(std::move(rec)); });
+  scan.torn_tail = summary.torn_tail;
+  scan.bytes_used = summary.bytes_used;
   return scan;
 }
 
-Recovered recover(const std::string& path, const RecoverOptions& options) {
-  const JournalScan scan = scan_journal(path);
-  MECRA_CHECK_MSG(!scan.records.empty(),
-                  "journal recovery: no complete records in " + path);
-  std::size_t snap_index = scan.records.size();
-  for (std::size_t i = scan.records.size(); i-- > 0;) {
-    if (scan.records[i].kind == kJournalSnapshot) {
-      snap_index = i;
-      break;
-    }
-  }
-  MECRA_CHECK_MSG(snap_index < scan.records.size(),
-                  "journal recovery: no snapshot record in " + path);
+namespace {
 
-  const JournalRecord& snap = scan.records[snap_index];
+/// Rebuilds the orchestrator + controller pair from a snapshot record,
+/// replacing whatever an earlier snapshot and its tail had built.
+void restore_snapshot(Recovered& out, const JournalRecord& snap,
+                      const RecoverOptions& options) {
   const io::JsonObject& s = snap.data().as_object();
-  Recovered out;
-  out.torn_tail = scan.torn_tail;
+  out.controller.reset();  // holds a reference into the old orchestrator
   out.orch = std::make_unique<Orchestrator>(
       io::network_from_json(s.at("network")),
       io::catalog_from_json(s.at("catalog")), options.orchestrator);
@@ -563,59 +659,83 @@ Recovered recover(const std::string& path, const RecoverOptions& options) {
   out.controller = std::make_unique<Controller>(*out.orch,
                                                 options.controller);
   out.controller->restore(controller_state_from_json(s.at("controller")));
+  out.replayed_events = 0;
   out.last_time = snap.time;
   out.last_seq = snap.seq;
+}
 
-  for (std::size_t i = snap_index + 1; i < scan.records.size(); ++i) {
-    const JournalRecord& rec = scan.records[i];
-    const io::JsonObject& data = rec.data().as_object();
-    if (rec.kind == kJournalAdmit) {
-      Service svc = service_from_json(data.at("service"));
+/// Applies one event record on top of the restored state.
+void replay_event(Recovered& out, const JournalRecord& rec) {
+  const io::JsonObject& data = rec.data().as_object();
+  if (rec.kind == kJournalAdmit) {
+    Service svc = service_from_json(data.at("service"));
+    const ServiceId id = svc.id;
+    // Effect replay: the record carries the exact post-admit residuals,
+    // so the restore must not consume on top of them.
+    out.orch->restore_service(std::move(svc), /*consume_capacity=*/false);
+    apply_residuals(*out.orch, data.at("residuals"));
+    out.controller->on_admit(id, rec.time);
+  } else if (rec.kind == kJournalBatch) {
+    for (const io::Json& sj : data.at("services").as_array()) {
+      Service svc = service_from_json(sj);
       const ServiceId id = svc.id;
-      // Effect replay: the record carries the exact post-admit residuals,
-      // so the restore must not consume on top of them.
-      out.orch->restore_service(std::move(svc), /*consume_capacity=*/false);
-      apply_residuals(*out.orch, data.at("residuals"));
+      out.orch->restore_service(std::move(svc),
+                                /*consume_capacity=*/false);
       out.controller->on_admit(id, rec.time);
-    } else if (rec.kind == kJournalBatch) {
-      for (const io::Json& sj : data.at("services").as_array()) {
-        Service svc = service_from_json(sj);
-        const ServiceId id = svc.id;
-        out.orch->restore_service(std::move(svc),
-                                  /*consume_capacity=*/false);
-        out.controller->on_admit(id, rec.time);
-      }
-      apply_residuals(*out.orch, data.at("residuals"));
-      out.orch->set_id_counters(
-          static_cast<ServiceId>(data.at("next_service").as_int()),
-          static_cast<InstanceId>(data.at("next_instance").as_int()));
-      // A batch commit implies the live run had built the shard map.
-      out.orch->ensure_shard_map();
-    } else if (rec.kind == kJournalInstanceFailure) {
-      const auto svc = static_cast<ServiceId>(data.at("service").as_int());
-      (void)out.orch->fail_instance(
-          svc, static_cast<InstanceId>(data.at("instance").as_int()));
-      out.controller->on_instance_failed(svc, rec.time);
-    } else if (rec.kind == kJournalCloudletOutage) {
-      const auto v = static_cast<graph::NodeId>(data.at("cloudlet").as_int());
-      out.orch->fail_cloudlet(v);
-      out.controller->on_cloudlet_failed(v, rec.time);
-    } else if (rec.kind == kJournalRepair) {
-      out.orch->repair_cloudlet(
-          static_cast<graph::NodeId>(data.at("cloudlet").as_int()));
-    } else if (rec.kind == kJournalTeardown) {
-      const auto svc = static_cast<ServiceId>(data.at("service").as_int());
-      out.orch->teardown(svc);
-      out.controller->on_teardown(svc);
-    } else if (rec.kind == kJournalReconcile) {
-      (void)out.controller->reconcile(rec.time);
-    } else {
-      MECRA_CHECK_MSG(false, "journal: unknown record kind " + rec.kind);
     }
-    ++out.replayed_events;
-    out.last_time = rec.time;
-    out.last_seq = rec.seq;
+    apply_residuals(*out.orch, data.at("residuals"));
+    out.orch->set_id_counters(
+        static_cast<ServiceId>(data.at("next_service").as_int()),
+        static_cast<InstanceId>(data.at("next_instance").as_int()));
+    // A batch commit implies the live run had built the shard map.
+    out.orch->ensure_shard_map();
+  } else if (rec.kind == kJournalInstanceFailure) {
+    const auto svc = static_cast<ServiceId>(data.at("service").as_int());
+    (void)out.orch->fail_instance(
+        svc, static_cast<InstanceId>(data.at("instance").as_int()));
+    out.controller->on_instance_failed(svc, rec.time);
+  } else if (rec.kind == kJournalCloudletOutage) {
+    const auto v = static_cast<graph::NodeId>(data.at("cloudlet").as_int());
+    out.orch->fail_cloudlet(v);
+    out.controller->on_cloudlet_failed(v, rec.time);
+  } else if (rec.kind == kJournalRepair) {
+    out.orch->repair_cloudlet(
+        static_cast<graph::NodeId>(data.at("cloudlet").as_int()));
+  } else if (rec.kind == kJournalTeardown) {
+    const auto svc = static_cast<ServiceId>(data.at("service").as_int());
+    out.orch->teardown(svc);
+    out.controller->on_teardown(svc);
+  } else if (rec.kind == kJournalReconcile) {
+    (void)out.controller->reconcile(rec.time);
+  } else {
+    MECRA_CHECK_MSG(false, "journal: unknown record kind " + rec.kind);
   }
+  ++out.replayed_events;
+  out.last_time = rec.time;
+  out.last_seq = rec.seq;
+}
+
+}  // namespace
+
+Recovered recover(const std::string& path, const RecoverOptions& options) {
+  // One record at a time: each snapshot rebuilds the state from scratch
+  // and the events after it apply on top, so the last snapshot wins while
+  // only one decoded record is ever held in memory. Events before the
+  // first snapshot have nothing to apply to and are skipped.
+  Recovered out;
+  const FrameSummary summary =
+      for_each_record(path, [&](JournalRecord&& rec) {
+        if (rec.kind == kJournalSnapshot) {
+          restore_snapshot(out, rec, options);
+        } else if (out.orch != nullptr) {
+          replay_event(out, rec);
+        }
+      });
+  MECRA_CHECK_MSG(summary.records > 0,
+                  "journal recovery: no complete records in " + path);
+  MECRA_CHECK_MSG(out.orch != nullptr,
+                  "journal recovery: no snapshot record in " + path);
+  out.torn_tail = summary.torn_tail;
 
   if (obs::enabled()) {
     static obs::Counter& replayed =

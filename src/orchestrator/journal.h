@@ -174,10 +174,13 @@ class Journal {
     return pending_.size();
   }
 
-  /// Appends one framed record; the durability policy decides whether it
-  /// reaches the file now (kPerRecord / kBytes budget hit) or waits in the
-  /// pending group. Returns the record's sequence number, assigned eagerly.
-  std::uint64_t append(std::string_view kind, double time, io::Json data);
+  /// Appends one framed record whose `data` member is the ready compact
+  /// JSON `data` (an encode_*_record output, or any io::Json dump); the
+  /// durability policy decides whether it reaches the file now (kPerRecord
+  /// / kBytes budget hit) or waits in the pending group. Returns the
+  /// record's sequence number, assigned eagerly.
+  std::uint64_t append(std::string_view kind, double time,
+                       std::string_view data);
 
   /// Writes and flushes the pending group as one contiguous write. No-op
   /// when nothing is pending. This is the group boundary under kPerGroup —
@@ -220,33 +223,36 @@ class Journal {
   /// start offset (for the mid-group torn-write cut).
   std::string pending_;
   std::vector<std::size_t> pending_frames_;
-  /// Reusable serialization buffer for one record payload (append()).
-  std::string payload_scratch_;
+  /// Reusable buffer the typed writers encode one record's data into.
+  std::string data_scratch_;
 };
 
-// --- record payload builders ---
+// --- record data encoders ---
 //
-// Each typed writer above is `append(kind, time, make_*_record(...))`. The
-// builders are exposed separately for the streaming service
-// (orchestrator/streaming.h), whose pipelined commit SPLITS capture from
-// persistence: payloads read live orchestrator state (residuals, id
-// counters), so they must be built on the pipeline thread at window-close
-// time, while the serial append happens later on the commit thread. A
-// payload captured by a builder is a pure value — appending it afterwards
-// never re-reads orchestrator state.
+// Each typed writer above is `append(kind, time, <encoded data>)`. The
+// encoders append a record's `data` member as compact JSON to `out`, byte
+// for byte what io::Json::dump prints for the equivalent io::JsonObject
+// tree (same insertion-ordered keys, same number format, same 2^53 id
+// checks; asserted in tests/journal_test.cpp), without building the tree.
+// They are exposed for the streaming service (orchestrator/streaming.h),
+// whose pipelined commit SPLITS capture from persistence: data reads live
+// orchestrator state (residuals, id counters), so it is encoded on the
+// pipeline thread at window-close time, while the serial append happens
+// later on the commit thread. Encoded bytes are a pure value — appending
+// them afterwards never re-reads orchestrator state.
 
-/// Payload of a `snapshot` record: full deployment + controller state.
-[[nodiscard]] io::Json make_snapshot_record(const Orchestrator& orch,
-                                            const Controller& controller);
-/// Payload of an `admit` record for one committed service.
-[[nodiscard]] io::Json make_admit_record(const Orchestrator& orch,
-                                         const Service& svc);
-/// Payload of a `batch` record: the admitted services verbatim plus
+/// Data of a `snapshot` record: full deployment + controller state.
+void encode_snapshot_record(std::string& out, const Orchestrator& orch,
+                            const Controller& controller);
+/// Data of an `admit` record for one committed service.
+void encode_admit_record(std::string& out, const Orchestrator& orch,
+                         const Service& svc);
+/// Data of a `batch` record: the admitted services verbatim plus
 /// post-batch id counters and touched residuals.
-[[nodiscard]] io::Json make_batch_record(
-    const Orchestrator& orch, const std::vector<const Service*>& admitted);
-/// Payload of a `teardown` record.
-[[nodiscard]] io::Json make_teardown_record(ServiceId service);
+void encode_batch_record(std::string& out, const Orchestrator& orch,
+                         const std::vector<const Service*>& admitted);
+/// Data of a `teardown` record.
+void encode_teardown_record(std::string& out, ServiceId service);
 
 /// One decoded record. `payload` is the full parsed record object
 /// (io::Json is move-only, so the record keeps the whole object);
@@ -271,7 +277,8 @@ struct JournalScan {
   std::uint64_t bytes_used = 0;
 };
 
-/// Decodes every complete record of the file. Tolerates a torn tail;
+/// Decodes every complete record of the file into memory (recover()
+/// reads the same frames one at a time instead). Tolerates a torn tail;
 /// throws util::CheckFailure on mid-file corruption, a bad sequence chain,
 /// or an unsupported format version. A missing or empty file scans to zero
 /// records (recover() is the layer that demands a snapshot).
@@ -299,8 +306,10 @@ struct Recovered {
 };
 
 /// Rebuilds the orchestrator + controller from the LAST snapshot record
-/// plus every record after it. Throws util::CheckFailure when the journal
-/// has no snapshot or is corrupt mid-file.
+/// plus every record after it, reading and applying one record at a time
+/// (every snapshot met rebuilds the state, so the last one wins). Throws
+/// util::CheckFailure when the journal has no snapshot or is corrupt
+/// mid-file.
 [[nodiscard]] Recovered recover(const std::string& path,
                                 const RecoverOptions& options);
 

@@ -109,41 +109,50 @@ std::optional<ServiceId> Orchestrator::admit(const mec::SfcRequest& request,
     accepted.add(1);
   }
 
-  Service svc;
+  Service svc = augment_placed(request, *primaries, nullptr, nullptr);
   svc.id = next_service_++;
+  for (Instance& inst : svc.instances) inst.id = next_instance_++;
+  const ServiceId id = svc.id;
+  services_.emplace(id, std::move(svc));
+  return id;
+}
+
+Service Orchestrator::augment_placed(
+    const mec::SfcRequest& request,
+    const admission::PrimaryPlacement& primaries, const mec::ShardMap* map,
+    StagedAdmission* audit) {
+  Service svc;
   svc.request = request;
   for (std::uint32_t p = 0; p < request.length(); ++p) {
-    svc.instances.push_back(Instance{next_instance_++, p,
-                                     primaries->cloudlet_of[p],
+    svc.instances.push_back(Instance{kPendingInstanceId, p,
+                                     primaries.cloudlet_of[p],
                                      InstanceRole::kActive,
                                      InstanceState::kRunning});
   }
-
-  core::BmcgapInstance fresh;
-  if (!options_.model_arena) {
-    fresh = core::build_bmcgap(network_, catalog_, request, *primaries,
-                               {.l_hops = options_.l_hops});
-  }
-  const core::BmcgapInstance& instance =
-      options_.model_arena
-          ? serial_arena().build(network_, catalog_, request, *primaries)
-          : fresh;
+  const core::BmcgapOptions model_options{.l_hops = options_.l_hops};
+  core::BmcgapInstance instance =
+      map != nullptr ? core::build_bmcgap(network_, catalog_, request,
+                                          primaries, model_options, *map)
+                     : core::build_bmcgap(network_, catalog_, request,
+                                          primaries, model_options);
   auto algorithm =
       options_.algorithm ? options_.algorithm : core::augment_heuristic;
-  const auto result = algorithm(instance, options_.augment);
+  auto result = algorithm(instance, options_.augment);
   MECRA_CHECK_MSG(core::validate(instance, result).feasible,
                   "orchestrator requires capacity-feasible augmentation");
   core::apply_placements(network_, instance, result);
   for (const auto& placement : result.placements) {
-    svc.instances.push_back(Instance{next_instance_++, placement.chain_pos,
+    svc.instances.push_back(Instance{kPendingInstanceId, placement.chain_pos,
                                      placement.cloudlet,
                                      InstanceRole::kStandby,
                                      InstanceState::kRunning});
   }
   svc.state = ServiceState::kHealthy;
-  const ServiceId id = svc.id;
-  services_.emplace(id, std::move(svc));
-  return id;
+  if (audit != nullptr && options_.batch.record_audit) {
+    audit->instance = std::move(instance);
+    audit->result = std::move(result);
+  }
+  return svc;
 }
 
 const mec::ShardMap& Orchestrator::shard_map() {
@@ -156,9 +165,6 @@ const mec::ShardMap& Orchestrator::shard_map() {
     for (std::size_t v = 0; v < network_.num_nodes(); ++v) {
       border_debit_[v].store(0.0, std::memory_order_relaxed);
     }
-    // Sized here, filled lazily: shard s's slot is only ever touched by
-    // the single worker serving shard s (see shard_arena()).
-    shard_arenas_.resize(shard_map_->num_shards());
     if (obs::enabled()) {
       auto& reg = obs::MetricsRegistry::global();
       reg.gauge("shard.count")
@@ -171,25 +177,6 @@ const mec::ShardMap& Orchestrator::shard_map() {
     }
   }
   return *shard_map_;
-}
-
-core::BmcgapArena& Orchestrator::serial_arena() {
-  if (serial_arena_ == nullptr) {
-    serial_arena_ =
-        std::make_unique<core::BmcgapArena>(core::BmcgapOptions{
-            .l_hops = options_.l_hops});
-  }
-  return *serial_arena_;
-}
-
-core::BmcgapArena& Orchestrator::shard_arena(std::size_t shard) {
-  MECRA_CHECK(shard < shard_arenas_.size());
-  auto& slot = shard_arenas_[shard];
-  if (slot == nullptr) {
-    slot = std::make_unique<core::BmcgapArena>(core::BmcgapOptions{
-        .l_hops = options_.l_hops});
-  }
-  return *slot;
 }
 
 util::ThreadPool* Orchestrator::batch_pool() {
@@ -220,6 +207,7 @@ void Orchestrator::note_border_debit(graph::NodeId v, double amount) {
 void Orchestrator::admit_in_shard(const mec::SfcRequest& request,
                                   std::size_t shard,
                                   std::uint64_t batch_salt, std::size_t index,
+                                  admission::PrimaryPool& pool,
                                   StagedAdmission& staged) {
   staged.shard = shard;
   if (MECRA_FAULT_POINT("orchestrator.shard_worker")) {
@@ -233,57 +221,19 @@ void Orchestrator::admit_in_shard(const mec::SfcRequest& request,
     staged.faulted = true;
     return;
   }
-  const auto& interior = shard_map_->interior_cloudlets(shard);
-  if (interior.empty()) return;  // nothing confinable; fallback pass retries
-  util::Rng rng(util::derive_seed(batch_salt, index));
-  auto primaries = admission::random_admission_within(network_, catalog_,
-                                                      request, interior, rng);
+  auto primaries =
+      pool.place(network_, request, util::derive_seed(batch_salt, index));
   if (!primaries.has_value()) return;  // fallback pass retries network-wide
 
   try {
-    Service svc;
-    svc.request = request;
-    for (std::uint32_t p = 0; p < request.length(); ++p) {
-      svc.instances.push_back(Instance{kPendingInstanceId, p,
-                                       primaries->cloudlet_of[p],
-                                       InstanceRole::kActive,
-                                       InstanceState::kRunning});
-    }
-    core::BmcgapInstance fresh;
-    if (!options_.model_arena) {
-      fresh = core::build_bmcgap(network_, catalog_, request, *primaries,
-                                 {.l_hops = options_.l_hops}, *shard_map_);
-    }
-    const core::BmcgapInstance& instance =
-        options_.model_arena
-            ? shard_arena(shard).build(network_, catalog_, request,
-                                       *primaries, *shard_map_)
-            : fresh;
-    auto algorithm =
-        options_.algorithm ? options_.algorithm : core::augment_heuristic;
-    auto result = algorithm(instance, options_.augment);
-    MECRA_CHECK_MSG(core::validate(instance, result).feasible,
-                    "orchestrator requires capacity-feasible augmentation");
-    core::apply_placements(network_, instance, result);
-    for (const auto& placement : result.placements) {
-      svc.instances.push_back(Instance{kPendingInstanceId,
-                                       placement.chain_pos,
-                                       placement.cloudlet,
-                                       InstanceRole::kStandby,
-                                       InstanceState::kRunning});
-    }
-    svc.state = ServiceState::kHealthy;
+    Service svc = augment_placed(request, *primaries, shard_map_.get(),
+                                 &staged);
     for (const Instance& inst : svc.instances) {
       note_border_debit(inst.cloudlet,
                         catalog_.function(request.chain[inst.chain_pos])
                             .cpu_demand);
     }
     staged.svc = std::move(svc);
-    if (options_.batch.record_audit) {
-      // Copy, not move: the arena path's instance lives in its cache.
-      staged.instance = instance;
-      staged.result = std::move(result);
-    }
     staged.admitted = true;
   } catch (...) {
     // Shard-worker exception safety: return the primaries' capacity (the
@@ -291,11 +241,14 @@ void Orchestrator::admit_in_shard(const mec::SfcRequest& request,
     // validate and cannot come up short), flag the fault, and let the
     // serial fallback pass retry the request on the driver thread. Border
     // debits are only declared on success, so the consume/release pair
-    // nets to zero against the conservation audit.
+    // nets to zero against the conservation audit. The release may leave
+    // a residual an ulp above its old value, so the pool re-reads before
+    // it trusts its bound again.
     for (std::uint32_t p = 0; p < request.length(); ++p) {
       network_.release(primaries->cloudlet_of[p],
                        catalog_.function(request.chain[p]).cpu_demand);
     }
+    pool.invalidate();
     staged = StagedAdmission{};
     staged.shard = shard;
     staged.faulted = true;
@@ -341,13 +294,16 @@ std::vector<std::optional<ServiceId>> Orchestrator::admit_batch(
   std::atomic<std::size_t> degraded{0};
   auto run_shard = [&](std::size_t k) {
     const std::size_t s = active_shards[k];
+    // Only this worker writes the shard's interior cloudlets during the
+    // parallel phase, so their residuals only fall under the pool.
+    admission::PrimaryPool pool(catalog_, map.interior_cloudlets(s));
     obs::TraceSpan shard_span("shard.admit");
     shard_span.attr("shard", static_cast<double>(s));
     shard_span.attr("requests", static_cast<double>(groups[s].size()));
     for (std::size_t n = 0; n < groups[s].size(); ++n) {
       const std::size_t i = groups[s][n];
       try {
-        admit_in_shard(requests[i], s, batch_salt, i, staged[i]);
+        admit_in_shard(requests[i], s, batch_salt, i, pool, staged[i]);
       } catch (...) {
         // admit_in_shard rolls back internally; this is a belt for faults
         // injected outside its try scope. Never let an exception escape a
@@ -399,52 +355,16 @@ std::vector<std::optional<ServiceId>> Orchestrator::admit_batch(
     const util::LockGuard lock(batch_mutex_);
     const std::uint64_t fallback_salt =
         util::derive_seed(batch_salt, 0x0fa11bacULL);
+    admission::PrimaryPool fallback_pool(catalog_, network_.cloudlets());
     for (std::size_t i = 0; i < requests.size(); ++i) {
       if (staged[i].admitted) continue;
       ++fallback_attempts;
-      util::Rng fb_rng(util::derive_seed(fallback_salt, i));
-      auto primaries = admission::random_admission(network_, catalog_,
-                                                   requests[i], fb_rng);
+      auto primaries = fallback_pool.place(network_, requests[i],
+                                           util::derive_seed(fallback_salt, i));
       if (!primaries.has_value()) continue;
-      Service svc;
-      svc.request = requests[i];
-      for (std::uint32_t p = 0; p < requests[i].length(); ++p) {
-        svc.instances.push_back(Instance{kPendingInstanceId, p,
-                                         primaries->cloudlet_of[p],
-                                         InstanceRole::kActive,
-                                         InstanceState::kRunning});
-      }
-      core::BmcgapInstance fresh;
-      if (!options_.model_arena) {
-        fresh = core::build_bmcgap(network_, catalog_, requests[i],
-                                   *primaries, {.l_hops = options_.l_hops},
-                                   map);
-      }
-      const core::BmcgapInstance& instance =
-          options_.model_arena
-              ? serial_arena().build(network_, catalog_, requests[i],
-                                     *primaries, map)
-              : fresh;
-      auto algorithm =
-          options_.algorithm ? options_.algorithm : core::augment_heuristic;
-      auto result = algorithm(instance, options_.augment);
-      MECRA_CHECK_MSG(core::validate(instance, result).feasible,
-                      "orchestrator requires capacity-feasible augmentation");
-      core::apply_placements(network_, instance, result);
-      for (const auto& placement : result.placements) {
-        svc.instances.push_back(Instance{kPendingInstanceId,
-                                         placement.chain_pos,
-                                         placement.cloudlet,
-                                         InstanceRole::kStandby,
-                                         InstanceState::kRunning});
-      }
-      svc.state = ServiceState::kHealthy;
-      staged[i].svc = std::move(svc);
+      staged[i].svc = augment_placed(requests[i], *primaries, &map,
+                                     &staged[i]);
       staged[i].via_fallback = true;
-      if (options_.batch.record_audit) {
-        staged[i].instance = instance;
-        staged[i].result = std::move(result);
-      }
       staged[i].admitted = true;
     }
   }

@@ -63,7 +63,6 @@
 #include <vector>
 
 #include "core/augmentation.h"
-#include "core/bmcgap_arena.h"
 #include "mec/network.h"
 #include "mec/request.h"
 #include "mec/shard_map.h"
@@ -71,6 +70,15 @@
 #include "util/rng.h"
 #include "util/thread_annotations.h"
 #include "util/thread_pool.h"
+
+namespace mecra::admission {
+class PrimaryPool;
+struct PrimaryPlacement;
+}  // namespace mecra::admission
+
+namespace mecra::core {
+class BmcgapArena;
+}  // namespace mecra::core
 
 namespace mecra::orchestrator {
 
@@ -128,12 +136,6 @@ struct OrchestratorOptions {
                                          const core::AugmentOptions&)>
       algorithm;
   BatchOptions batch;
-  /// Build admission models through per-worker core::BmcgapArena instances
-  /// (skeleton memoization with residual-epoch invalidation) instead of a
-  /// fresh core::build_bmcgap per request. Placements and instance ids are
-  /// bit-identical either way (asserted in tests/batch_test.cpp); false
-  /// keeps the legacy fresh-build path for those equivalence tests.
-  bool model_arena = true;
 };
 
 /// Everything admit_batch decided for one batch, kept only when
@@ -209,11 +211,11 @@ class Orchestrator {
     return batch_audit_;
   }
 
-  /// The serial-path model arena (admit + the batch fallback pass), or
-  /// nullptr while unused / OrchestratorOptions::model_arena is off.
-  /// Exposed for cache-effectiveness assertions in tests.
+  /// Always nullptr: every admission path builds its model with
+  /// core::build_bmcgap. Kept for callers that still read the statistics
+  /// of the retired model arena (they report an idle layer).
   [[nodiscard]] const core::BmcgapArena* model_arena() const noexcept {
-    return serial_arena_.get();
+    return nullptr;
   }
 
   /// Shard that exclusively owns every instance of the service, or nullopt
@@ -360,21 +362,24 @@ class Orchestrator {
   void promote_for_position(Service& svc, std::uint32_t chain_pos,
                             graph::NodeId failed_at);
   std::size_t reaugment_impl(ServiceId service, bool deferred_ids);
+  /// The shared tail of every admission path: builds the BMCGAP model of
+  /// `request` around its placed primaries (candidates confined by `map`
+  /// when given), runs the augmentation algorithm, validates and applies
+  /// its standbys, and returns the healthy service with every instance id
+  /// kPendingInstanceId. Keeps the model and result in `audit` when
+  /// BatchOptions::record_audit is set.
+  Service augment_placed(const mec::SfcRequest& request,
+                         const admission::PrimaryPlacement& primaries,
+                         const mec::ShardMap* map, StagedAdmission* audit);
   /// Shard-confined admission attempt for request `index` (worker
-  /// threads); falls back by leaving `staged.admitted` false.
+  /// threads), drawing primaries from the shard's `pool`; falls back by
+  /// leaving `staged.admitted` false.
   void admit_in_shard(const mec::SfcRequest& request, std::size_t shard,
                       std::uint64_t batch_salt, std::size_t index,
-                      StagedAdmission& staged);
+                      admission::PrimaryPool& pool, StagedAdmission& staged);
   /// Records `amount` against v's atomic border-debit slot when v is a
   /// border cloudlet (conservation audit; see admit_batch).
   void note_border_debit(graph::NodeId v, double amount);
-
-  /// Lazily-created model arenas (core/bmcgap_arena.h). The serial arena
-  /// serves admit() and the batch fallback pass (both driver-thread,
-  /// fallback under batch_mutex_); shard arena `s` is touched only by the
-  /// one worker serving shard s, so none of them needs a lock.
-  core::BmcgapArena& serial_arena();
-  core::BmcgapArena& shard_arena(std::size_t shard);
 
   mec::MecNetwork network_;
   mec::VnfCatalog catalog_;
@@ -401,11 +406,6 @@ class Orchestrator {
   /// worker escaped its shard.
   std::unique_ptr<std::atomic<double>[]> border_debit_;
   BatchAudit batch_audit_;
-  /// See serial_arena()/shard_arena(); shard_arenas_ is sized once when
-  /// the shard map is built and its slots are filled lazily, each by the
-  /// single worker that owns the shard.
-  std::unique_ptr<core::BmcgapArena> serial_arena_;
-  std::vector<std::unique_ptr<core::BmcgapArena>> shard_arenas_;
 };
 
 }  // namespace mecra::orchestrator

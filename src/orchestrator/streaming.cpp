@@ -20,6 +20,16 @@ constexpr std::chrono::milliseconds kIdlePoll{2};
 /// Grace poll after the stop sentinel: bounds the MPSC momentary-unlink
 /// race with a producer whose submit was accepted but not yet linked.
 constexpr std::chrono::milliseconds kDrainPoll{1};
+
+/// Encodes one journal record's data at the end of the ticket's buffer and
+/// notes its extent; the commit thread appends it later.
+template <typename Ticket, typename Encode>
+void capture(Ticket& ticket, std::string_view kind, double time,
+             Encode&& encode) {
+  const std::size_t begin = ticket.journal_data.size();
+  encode(ticket.journal_data);
+  ticket.records.push_back({kind, time, begin, ticket.journal_data.size()});
+}
 }  // namespace
 
 StreamingService::StreamingService(Orchestrator& orch,
@@ -271,8 +281,9 @@ void StreamingService::close_window(Window& win, WindowTrigger trigger) {
         ev.readmit_valid = true;
       }
       if (journal_ != nullptr) {
-        ticket.records.push_back({std::string(kJournalTeardown), ev.time,
-                                  make_teardown_record(ev.service)});
+        capture(ticket, kJournalTeardown, ev.time, [&](std::string& out) {
+          encode_teardown_record(out, ev.service);
+        });
       }
       orch_.teardown(ev.service);
       if (controller_ != nullptr) controller_->on_teardown(ev.service);
@@ -336,22 +347,24 @@ void StreamingService::close_window(Window& win, WindowTrigger trigger) {
         outcomes.push_back(o);
       }
       if (journal_ != nullptr) {
-        ticket.records.push_back({std::string(kJournalBatch), w.close_time,
-                                  make_batch_record(orch_, admitted)});
+        capture(ticket, kJournalBatch, w.close_time, [&](std::string& out) {
+          encode_batch_record(out, orch_, admitted);
+        });
       }
     }
     if (options_.reconcile_each_window && controller_ != nullptr) {
       (void)controller_->reconcile(w.close_time);
       if (journal_ != nullptr) {
-        ticket.records.push_back({std::string(kJournalReconcile),
-                                  w.close_time, io::Json(io::JsonObject{})});
+        capture(ticket, kJournalReconcile, w.close_time,
+                [](std::string& out) { out += "{}"; });
       }
     }
     if (journal_ != nullptr && controller_ != nullptr &&
         options_.snapshot_every_windows > 0 &&
         (w.seq + 1) % options_.snapshot_every_windows == 0) {
-      ticket.records.push_back({std::string(kJournalSnapshot), w.close_time,
-                                make_snapshot_record(orch_, *controller_)});
+      capture(ticket, kJournalSnapshot, w.close_time, [&](std::string& out) {
+        encode_snapshot_record(out, orch_, *controller_);
+      });
     }
   } catch (const std::exception& e) {
     record_failure(e.what());
@@ -394,8 +407,10 @@ void StreamingService::commit_ticket(CommitTicket& ticket) {
   WindowReport& rep = ticket.report;
   if (journal_ != nullptr && !failed_.load(std::memory_order_acquire)) {
     try {
-      for (PendingRecord& r : ticket.records) {
-        (void)journal_->append(r.kind, r.time, std::move(r.data));
+      const std::string_view data = ticket.journal_data;
+      for (const PendingRecord& r : ticket.records) {
+        (void)journal_->append(r.kind, r.time,
+                               data.substr(r.begin, r.end - r.begin));
       }
       // Group-commit boundary: under Durability::per_window the window's
       // records were only framed into the journal's pending buffer; one

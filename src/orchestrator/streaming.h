@@ -26,9 +26,9 @@
 // requests in event order, then Controller::on_admit per admitted service.
 //
 // Epoch pipelining. The pipeline thread mutates ALL orchestrator/
-// controller state and also CAPTURES journal payloads while that state is
-// current (journal.h's make_*_record builders); the serial commit of the
-// PREVIOUS window — journal framing + fsync-ordered appends, admission-
+// controller state and also ENCODES journal record data to bytes while
+// that state is current (journal.h's encode_*_record encoders); the serial
+// commit of the PREVIOUS window — journal framing + ordered appends, admission-
 // latency histogram, SLO evaluation, on_commit — drains concurrently on
 // the commit thread. Because nothing on the commit thread feeds back into
 // admission decisions, pipelining changes wall-clock behaviour only:
@@ -352,11 +352,13 @@ class StreamingService {
     std::vector<StreamEvent> events;  ///< push order == event order
   };
 
-  /// One journal record captured at window close, appended at commit.
+  /// One journal record captured at window close, appended at commit:
+  /// its data bytes are [begin, end) of the ticket's `journal_data`.
   struct PendingRecord {
-    std::string kind;
+    std::string_view kind;
     double time = 0.0;
-    io::Json data;
+    std::size_t begin = 0;
+    std::size_t end = 0;
   };
 
   /// Everything the commit stage needs; built entirely on the pipeline
@@ -365,6 +367,8 @@ class StreamingService {
     bool stop = false;  ///< commit-thread shutdown sentinel
     WindowReport report;
     std::vector<PendingRecord> records;
+    /// The records' encoded data, back to back (journal.h encoders).
+    std::string journal_data;
     /// Enqueue stamps of the window's candidates (latency histogram).
     std::vector<std::chrono::steady_clock::time_point> enqueued;
   };

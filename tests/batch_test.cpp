@@ -5,13 +5,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <optional>
+#include <stdexcept>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "admission/admission.h"
 #include "core/bmcgap.h"
 #include "core/bmcgap_arena.h"
+#include "core/heuristic_matching.h"
 #include "core/validator.h"
 #include "mec/shard_map.h"
 #include "orchestrator/orchestrator.h"
@@ -228,17 +232,17 @@ TEST(AdmitBatch, ModelArenaHitsRefreshesAndMatchesFreshBuilds) {
                                     *primaries, {.l_hops = 1}));
 }
 
-TEST(AdmitBatch, ArenaMatchesFreshModelsAcrossThreadCounts) {
-  // The end-to-end bit-identity sweep the arena ships under: repeated
-  // sharded batches with model_arena on, at 1/2/4/8 threads, must land on
-  // exactly the WorldSnap of the legacy build-every-model path.
+TEST(AdmitBatch, RepeatedRoundsBitIdenticalAtOneToEightThreads) {
+  // Repeated sharded batches at 1/2/4/8 threads must land on exactly the
+  // same WorldSnap: each shard worker's primary pool and the fallback
+  // pass's pool see the same residuals whatever the thread count.
   const sim::Scenario s = big_scenario(19, 100, 0.5);
 
-  auto run = [&](bool arena, std::size_t threads) {
+  auto run = [&](std::size_t threads) {
     orchestrator::OrchestratorOptions opt;
-    opt.model_arena = arena;
     opt.batch.threads = threads;
     orchestrator::Orchestrator orch(s.network, s.catalog, opt);
+    EXPECT_EQ(orch.model_arena(), nullptr);
     util::Rng rng(31);
     for (std::uint64_t round = 0; round < 3; ++round) {
       const auto requests = make_requests(s, 25, 0.9, 300 + round);
@@ -247,11 +251,62 @@ TEST(AdmitBatch, ArenaMatchesFreshModelsAcrossThreadCounts) {
     return snapshot(orch);
   };
 
-  const WorldSnap fresh = run(false, 1);
-  ASSERT_FALSE(fresh.instances.empty());
+  const WorldSnap one = run(1);
+  ASSERT_FALSE(one.instances.empty());
   for (const std::size_t threads :
-       {std::size_t{1}, std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
-    EXPECT_EQ(run(true, threads), fresh) << "threads=" << threads;
+       {std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
+    EXPECT_EQ(run(threads), one) << "threads=" << threads;
+  }
+}
+
+TEST(AdmitBatch, ThrowingAlgorithmTakesTheShardCatchPath) {
+  // An augmentation algorithm that throws once, inside a shard worker,
+  // sends admit_in_shard down its catch path: the primaries are released
+  // (not bit-exactly), the rest of the shard drains to the fallback pass,
+  // and that pass retries the request. Decisions stay deterministic across
+  // thread counts, every plan validates, and teardown restores capacity.
+  const sim::Scenario s = big_scenario(23, 100, 0.6);
+  auto requests = make_requests(s, 30, 0.9, 404);
+  constexpr double kMarker = 0.912345;
+  requests[3].expectation = kMarker;
+
+  auto run = [&](std::size_t threads) {
+    std::atomic<bool> thrown{false};
+    orchestrator::OrchestratorOptions opt;
+    opt.batch.threads = threads;
+    opt.batch.record_audit = true;
+    opt.algorithm = [&thrown](const core::BmcgapInstance& instance,
+                              const core::AugmentOptions& options) {
+      if (instance.expectation == kMarker && !thrown.exchange(true)) {
+        throw std::runtime_error("augmentation failed");
+      }
+      return core::augment_heuristic(instance, options);
+    };
+    orchestrator::Orchestrator orch(s.network, s.catalog, opt);
+    const double before = orch.network().total_residual();
+    util::Rng rng(8);
+    const auto ids = orch.admit_batch(requests, rng);
+    EXPECT_TRUE(thrown.load());
+    const orchestrator::BatchAudit& audit = orch.last_batch_audit();
+    EXPECT_GE(audit.degraded, 1u);
+    bool marked_via_fallback = false;
+    for (const auto& entry : audit.entries) {
+      EXPECT_TRUE(core::validate(entry.instance, entry.result).feasible);
+      if (entry.request_index == 3) marked_via_fallback = entry.via_fallback;
+    }
+    EXPECT_TRUE(ids[3].has_value());
+    EXPECT_TRUE(marked_via_fallback);
+    const WorldSnap snap = snapshot(orch);
+    for (const auto& id : ids) {
+      if (id.has_value()) orch.teardown(*id);
+    }
+    EXPECT_NEAR(orch.network().total_residual(), before, 1e-6 * before);
+    return std::make_pair(ids, snap);
+  };
+
+  const auto one = run(1);
+  for (const std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
+    EXPECT_EQ(run(threads), one) << "threads=" << threads;
   }
 }
 

@@ -7,11 +7,14 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <vector>
 
 #include "graph/topology.h"
+#include "io/scenario_io.h"
 #include "orchestrator/journal.h"
 #include "util/check.h"
 #include "util/faultpoint.h"
@@ -107,13 +110,286 @@ TEST(JournalFraming, Crc32MatchesTheIeeeCheckVector) {
   EXPECT_EQ(journal_crc32(""), 0u);
 }
 
+/// Bytewise CRC-32 (reflected IEEE polynomial), bit by bit: the reference
+/// the table-driven journal_crc32 must reproduce.
+std::uint32_t bitwise_crc32(std::string_view bytes) {
+  std::uint32_t crc = 0xFFFFFFFFu;
+  for (const char ch : bytes) {
+    crc ^= static_cast<unsigned char>(ch);
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1u) != 0 ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(JournalFraming, Crc32MatchesABytewiseReferenceOnRandomBuffers) {
+  // Every length 0..64 (all slice-by-8 remainders), then longer buffers at
+  // every alignment of their start within an 8-byte word.
+  util::Rng rng(2024);
+  std::string buffer(4096 + 8, '\0');
+  for (char& c : buffer) c = static_cast<char>(rng.index(256));
+  for (std::size_t len = 0; len <= 64; ++len) {
+    const std::string_view view(buffer.data(), len);
+    EXPECT_EQ(journal_crc32(view), bitwise_crc32(view)) << "len " << len;
+  }
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::size_t offset = rng.index(8);
+    const std::size_t len = rng.index(4096);
+    const std::string_view view(buffer.data() + offset, len);
+    EXPECT_EQ(journal_crc32(view), bitwise_crc32(view))
+        << "offset " << offset << " len " << len;
+  }
+}
+
+// --- the io::JsonObject trees the record encoders replaced (test oracle) ---
+
+io::Json oracle_instance(const Instance& inst) {
+  MECRA_CHECK_MSG(inst.id < (1ULL << 53),
+                  "journal: instance id too large to serialize");
+  io::JsonObject o;
+  o.set("id", io::Json(inst.id));
+  o.set("pos", io::Json(inst.chain_pos));
+  o.set("cloudlet", io::Json(inst.cloudlet));
+  o.set("role", io::Json(static_cast<int>(inst.role)));
+  o.set("state", io::Json(static_cast<int>(inst.state)));
+  return {std::move(o)};
+}
+
+io::Json oracle_service(const Service& svc) {
+  MECRA_CHECK_MSG(svc.id < (1ULL << 53),
+                  "journal: service id too large to serialize");
+  io::JsonObject o;
+  o.set("id", io::Json(svc.id));
+  o.set("request", io::to_json(svc.request));
+  o.set("state", io::Json(static_cast<int>(svc.state)));
+  io::JsonArray instances;
+  for (const Instance& inst : svc.instances) {
+    instances.emplace_back(oracle_instance(inst));
+  }
+  o.set("instances", io::Json(std::move(instances)));
+  return {std::move(o)};
+}
+
+io::Json oracle_residuals(const mec::MecNetwork& network,
+                          const std::vector<const Service*>& services) {
+  std::set<graph::NodeId> nodes;
+  for (const Service* svc : services) {
+    for (const Instance& inst : svc->instances) nodes.insert(inst.cloudlet);
+  }
+  io::JsonArray arr(nodes.size());
+  std::size_t i = 0;
+  for (const graph::NodeId v : nodes) {
+    io::JsonArray pair(2);
+    pair[0] = io::Json(v);
+    pair[1] = io::Json(network.residual(v));
+    arr[i++] = io::Json(std::move(pair));
+  }
+  return io::Json(std::move(arr));
+}
+
+std::string oracle_admit(const Orchestrator& orch, const Service& svc) {
+  io::JsonObject data;
+  data.set("service", oracle_service(svc));
+  data.set("residuals", oracle_residuals(orch.network(), {&svc}));
+  return io::Json(std::move(data)).dump();
+}
+
+std::string oracle_batch(const Orchestrator& orch,
+                         const std::vector<const Service*>& admitted) {
+  io::JsonObject data;
+  io::JsonArray services;
+  for (const Service* svc : admitted) {
+    services.emplace_back(oracle_service(*svc));
+  }
+  data.set("services", io::Json(std::move(services)));
+  data.set("residuals", oracle_residuals(orch.network(), admitted));
+  data.set("next_service", io::Json(orch.next_service_id()));
+  data.set("next_instance", io::Json(orch.next_instance_id()));
+  return io::Json(std::move(data)).dump();
+}
+
+std::string oracle_teardown(ServiceId service) {
+  io::JsonObject data;
+  data.set("service", io::Json(service));
+  return io::Json(std::move(data)).dump();
+}
+
+io::Json oracle_controller(const ControllerState& state) {
+  io::JsonObject o;
+  io::JsonArray tracked;
+  for (const ControllerState::Entry& entry : state.tracked) {
+    io::JsonObject e;
+    e.set("service", io::Json(entry.service));
+    e.set("dirty", io::Json(entry.dirty));
+    e.set("not_before", io::Json(entry.not_before));
+    e.set("backoff", io::Json(entry.backoff));
+    tracked.emplace_back(std::move(e));
+  }
+  o.set("tracked", io::Json(std::move(tracked)));
+  io::JsonArray repairs;
+  for (const auto& [due, v] : state.repair_queue) {
+    io::JsonArray pair;
+    pair.emplace_back(due);
+    pair.emplace_back(v);
+    repairs.emplace_back(std::move(pair));
+  }
+  o.set("repair_queue", io::Json(std::move(repairs)));
+  o.set("next_batch", io::Json(state.next_batch));
+  o.set("last_now", io::Json(state.last_now));
+  io::JsonObject m;
+  m.set("repairs", io::Json(state.metrics.repairs));
+  m.set("reaugment_attempts", io::Json(state.metrics.reaugment_attempts));
+  m.set("reaugment_successes", io::Json(state.metrics.reaugment_successes));
+  m.set("reaugment_failures", io::Json(state.metrics.reaugment_failures));
+  m.set("standbys_added", io::Json(state.metrics.standbys_added));
+  m.set("revivals", io::Json(state.metrics.revivals));
+  o.set("metrics", io::Json(std::move(m)));
+  return {std::move(o)};
+}
+
+std::string oracle_snapshot(const Orchestrator& orch,
+                            const Controller& controller) {
+  io::JsonObject data;
+  data.set("network", io::to_json(orch.network()));
+  data.set("catalog", io::to_json(orch.catalog()));
+  io::JsonArray services;
+  for (const ServiceId id : orch.services()) {
+    services.emplace_back(oracle_service(orch.service(id)));
+  }
+  data.set("services", io::Json(std::move(services)));
+  io::JsonArray down;
+  for (const graph::NodeId v : orch.down_cloudlets()) down.emplace_back(v);
+  data.set("down", io::Json(std::move(down)));
+  data.set("next_service", io::Json(orch.next_service_id()));
+  data.set("next_instance", io::Json(orch.next_instance_id()));
+  data.set("has_shard_map", io::Json(orch.has_shard_map()));
+  data.set("controller", oracle_controller(controller.state()));
+  return io::Json(std::move(data)).dump();
+}
+
+/// An id drawn up to `max` with the extremes over-represented.
+std::uint64_t random_id(util::Rng& rng, std::uint64_t max) {
+  switch (rng.index(4)) {
+    case 0: return max;
+    case 1: return rng.index(16);
+    default: return max == ~0ULL ? rng() : rng() % (max + 1);
+  }
+}
+
+Service random_service(util::Rng& rng, std::size_t num_nodes) {
+  constexpr std::uint64_t kMaxId = (1ULL << 53) - 1;
+  Service svc;
+  svc.id = random_id(rng, kMaxId);
+  // Request ids have no 2^53 check: any value prints through a double.
+  svc.request.id = random_id(rng, ~0ULL);
+  const std::size_t len = 1 + rng.index(10);
+  for (std::size_t i = 0; i < len; ++i) {
+    svc.request.chain.push_back(static_cast<mec::FunctionId>(rng.index(30)));
+  }
+  svc.request.expectation =
+      rng.index(4) == 0 ? 1.0 : 0.9 + 0.0999 * rng.uniform01();
+  svc.request.source = static_cast<graph::NodeId>(rng.index(num_nodes));
+  svc.request.destination = static_cast<graph::NodeId>(rng.index(num_nodes));
+  svc.state = static_cast<ServiceState>(rng.index(3));
+  const std::size_t instances = 1 + rng.index(12);
+  for (std::size_t i = 0; i < instances; ++i) {
+    Instance inst;
+    inst.id = random_id(rng, kMaxId);
+    inst.chain_pos = static_cast<std::uint32_t>(rng.index(len));
+    inst.cloudlet = static_cast<graph::NodeId>(rng.index(num_nodes));
+    inst.role = static_cast<InstanceRole>(rng.index(2));
+    inst.state = static_cast<InstanceState>(rng.index(2));
+    svc.instances.push_back(inst);
+  }
+  return svc;
+}
+
+TEST(RecordEncoders, MatchTheJsonObjectTreesOnRandomRecords) {
+  util::Rng rng(4242);
+  const std::size_t n = 25;
+  std::vector<double> capacity(n);
+  for (double& c : capacity) c = 500.0 + 3000.0 * rng.uniform01();
+  const mec::MecNetwork network(graph::path_graph(n), capacity);
+  for (int trial = 0; trial < 300; ++trial) {
+    Orchestrator orch(network, mec::VnfCatalog({{0, "a", 0.9, 300.0}}), {});
+    for (graph::NodeId v = 0; v < n; ++v) {
+      orch.restore_residual(v, capacity[v] * rng.uniform01());
+    }
+    orch.set_id_counters(random_id(rng, ~0ULL), random_id(rng, ~0ULL));
+    std::vector<Service> services;
+    const std::size_t count = rng.index(6);  // empty batches included
+    for (std::size_t i = 0; i < count; ++i) {
+      services.push_back(random_service(rng, n));
+    }
+    std::vector<const Service*> admitted;
+    for (const Service& svc : services) admitted.push_back(&svc);
+
+    std::string got;
+    encode_batch_record(got, orch, admitted);
+    EXPECT_EQ(got, oracle_batch(orch, admitted)) << "trial " << trial;
+    for (const Service& svc : services) {
+      got.clear();
+      encode_admit_record(got, orch, svc);
+      EXPECT_EQ(got, oracle_admit(orch, svc));
+    }
+    const ServiceId gone = random_id(rng, ~0ULL);
+    got.clear();
+    encode_teardown_record(got, gone);
+    EXPECT_EQ(got, oracle_teardown(gone));
+  }
+}
+
+TEST(RecordEncoders, RejectIdsBeyondTwoToThe53) {
+  World w;
+  Orchestrator orch(w.network, w.catalog, {});
+  Service svc;
+  svc.id = 1ULL << 53;
+  svc.request = w.request;
+  svc.instances.push_back({7, 0, 1, InstanceRole::kActive,
+                           InstanceState::kRunning});
+  std::string out;
+  EXPECT_THROW(encode_admit_record(out, orch, svc), util::CheckFailure);
+  EXPECT_THROW((void)oracle_service(svc), util::CheckFailure);
+  svc.id = (1ULL << 53) - 1;
+  svc.instances[0].id = 1ULL << 53;
+  out.clear();
+  EXPECT_THROW(encode_batch_record(out, orch, {&svc}), util::CheckFailure);
+  svc.instances[0].id = (1ULL << 53) - 1;
+  out.clear();
+  encode_batch_record(out, orch, {&svc});
+  EXPECT_EQ(out, oracle_batch(orch, {&svc}));
+}
+
+TEST(RecordEncoders, SnapshotMatchesTheJsonObjectTree) {
+  World w;
+  Orchestrator orch(w.network, w.catalog, {});
+  Controller controller(orch);
+  util::Rng rng(3);
+  const auto id1 = orch.admit(w.request, rng);
+  const auto id2 = orch.admit(w.request, rng);
+  ASSERT_TRUE(id1.has_value() && id2.has_value());
+  controller.on_admit(*id1, 0.5);
+  controller.on_admit(*id2, 0.75);
+  (void)orch.fail_instance(*id1, a_standby_of(orch, *id1));
+  controller.on_instance_failed(*id1, 1.0);
+  orch.fail_cloudlet(2);
+  controller.on_cloudlet_failed(2, 2.0);
+  (void)controller.reconcile(3.1);
+  std::string got;
+  encode_snapshot_record(got, orch, controller);
+  EXPECT_EQ(got, oracle_snapshot(orch, controller));
+  ASSERT_FALSE(orch.down_cloudlets().empty());
+}
+
 TEST(JournalFraming, AppendScanRoundTripsThroughJsonParse) {
   const std::string path = temp_path("roundtrip.journal");
   {
     Journal journal(path);
     io::JsonObject data;
     data.set("cloudlet", io::Json(7));
-    EXPECT_EQ(journal.append("repair", 1.5, io::Json(std::move(data))), 0u);
+    EXPECT_EQ(
+        journal.append("repair", 1.5, io::Json(std::move(data)).dump()), 0u);
     EXPECT_EQ(journal.reconcile_mark(2.25), 1u);
     EXPECT_EQ(journal.next_seq(), 2u);
   }
@@ -260,7 +536,7 @@ void write_three(const std::string& path, Durability durability) {
   journal.reconcile_mark(1.0);
   io::JsonObject data;
   data.set("cloudlet", io::Json(7));
-  journal.append("repair", 2.0, io::Json(std::move(data)));
+  journal.append("repair", 2.0, io::Json(std::move(data)).dump());
   journal.reconcile_mark(3.0);
   journal.flush();
 }
@@ -275,7 +551,7 @@ TEST(GroupCommit, HandwrittenEnvelopeMatchesJsonObjectDump) {
     io::JsonObject data;
     data.set("cloudlet", io::Json(7));
     data.set("note", io::Json(std::string("a\"b\\c\n")));
-    journal.append("repair", 0.1, io::Json(std::move(data)));
+    journal.append("repair", 0.1, io::Json(std::move(data)).dump());
   }
   const std::string bytes = file_bytes(path);
   ASSERT_GT(bytes.size(), 8u);
@@ -502,6 +778,41 @@ TEST(JournalRecovery, SnapshotPlusTailReplaysToTheSameState) {
   ASSERT_TRUE(next_live.has_value() && next_rec.has_value());
   EXPECT_EQ(*next_live, *next_rec);
   EXPECT_EQ(snap_of(*recovered.orch), snap_of(orch));
+}
+
+TEST(JournalRecovery, TheLastOfSeveralSnapshotsWins) {
+  // recover() applies records one at a time, rebuilding from every
+  // snapshot it meets; the state and counters must come out as if it had
+  // started at the last snapshot.
+  World w;
+  Orchestrator orch(w.network, w.catalog, {});
+  Controller controller(orch);
+  const std::string path = temp_path("two_snapshots.journal");
+  Journal journal(path);
+  journal.snapshot(orch, controller, 0.0);
+  util::Rng rng(21);
+  const auto id1 = orch.admit(w.request, rng);
+  ASSERT_TRUE(id1.has_value());
+  journal.admit(orch, orch.service(*id1), 1.0);
+  controller.on_admit(*id1, 1.0);
+  journal.cloudlet_outage(2, 2.0);
+  orch.fail_cloudlet(2);
+  controller.on_cloudlet_failed(2, 2.0);
+  journal.snapshot(orch, controller, 2.5);
+  journal.repair(2, 3.0);
+  orch.repair_cloudlet(2);
+  const auto id2 = orch.admit(w.request, rng);
+  ASSERT_TRUE(id2.has_value());
+  journal.admit(orch, orch.service(*id2), 3.5);
+  controller.on_admit(*id2, 3.5);
+
+  const Recovered recovered = recover(path, {});
+  EXPECT_EQ(recovered.replayed_events, 2u);
+  EXPECT_EQ(recovered.last_seq, 5u);
+  EXPECT_EQ(recovered.last_time, 3.5);
+  EXPECT_EQ(snap_of(*recovered.orch), snap_of(orch));
+  expect_controller_state_eq(recovered.controller->state(),
+                             controller.state());
 }
 
 TEST(JournalRecovery, TornFinalRecordRecoversToTheLastCompleteEvent) {

@@ -157,6 +157,36 @@ TEST(Streaming, BitIdenticalAcrossThreadCountsAndPipelining) {
   }
 }
 
+TEST(Streaming, JournalBytesMatchThePinnedDigest) {
+  // Length and CRC-32 of one small journaled stream (snapshots, batches
+  // and the teardowns of departures and re-admits), pinned from the
+  // io::JsonObject-tree serializer the record encoders replaced: any byte
+  // the encoders print differently changes the digest.
+  const auto network = small_network(42);
+  const auto catalog = small_catalog(42);
+  sim::StreamConfig config;
+  config.arrival_rate = 25.0;
+  config.mean_holding_time = 4.0;
+  config.horizon = 12.0;
+  config.readmit_fraction = 0.25;
+  config.window_width = 1.0;
+  config.threads = 2;
+  config.snapshot_every_windows = 4;
+  config.journal_path = temp_path("stream_pinned.journal");
+  const sim::StreamMetrics m = sim::run_stream(network, catalog, config, 7);
+  ASSERT_GT(m.departed, 0u);
+  ASSERT_GT(m.readmits, 0u);
+  const std::string bytes = file_bytes(config.journal_path);
+  std::size_t kinds = 0;
+  for (const char* kind : {"snapshot", "batch", "teardown"}) {
+    const std::string tag = std::string("\"kind\":\"") + kind + '"';
+    if (bytes.find(tag) != std::string::npos) ++kinds;
+  }
+  EXPECT_EQ(kinds, 3u);
+  EXPECT_EQ(bytes.size(), 58183u);
+  EXPECT_EQ(journal_crc32(bytes), 0xde82c171u);
+}
+
 TEST(Streaming, WindowTriggersTimeFlushAndEmptyCells) {
   const auto network = small_network(1);
   const auto catalog = small_catalog(1);
@@ -467,7 +497,7 @@ TEST(Streaming, TornWriteMidGroupRecoversToFlushedPrefix) {
   {
     Journal resumed(path, Journal::Mode::kContinue, Durability::per_window());
     EXPECT_EQ(resumed.next_seq(), scan.records.back().seq + 1);
-    resumed.append("repair", 9.0, io::Json(io::JsonObject{}));
+    resumed.append("repair", 9.0, "{}");
   }  // dtor flushes the pending single-record group
   const JournalScan rescanned = scan_journal(path);
   EXPECT_FALSE(rescanned.torn_tail);
@@ -513,8 +543,8 @@ TEST(Streaming, JournalRecoveryResumesRngSequenceMidStream) {
   Orchestrator full_orch(network, catalog, {});
   Controller full_ctrl(full_orch);
   run_range(full_orch, full_ctrl, nullptr, 0, false, 0, 20);
-  const std::string want =
-      make_snapshot_record(full_orch, full_ctrl).dump();
+  std::string want;
+  encode_snapshot_record(want, full_orch, full_ctrl);
 
   // First incarnation: cells 0..4 (a grid-aligned split), then "crash".
   const std::string path = temp_path("stream_resume.journal");
@@ -537,8 +567,8 @@ TEST(Streaming, JournalRecoveryResumesRngSequenceMidStream) {
   Recovered rec = recover(path, {});
   Journal resumed(path, Journal::Mode::kContinue);
   run_range(*rec.orch, *rec.controller, &resumed, batches, false, 10, 20);
-  const std::string got =
-      make_snapshot_record(*rec.orch, *rec.controller).dump();
+  std::string got;
+  encode_snapshot_record(got, *rec.orch, *rec.controller);
   EXPECT_EQ(got, want);
 }
 
