@@ -1,8 +1,10 @@
 // Microbenchmarks for the graph substrate: topology generation (the GT-ITM
 // Waxman model the experiments use plus the cell-bucketed geometric model
-// for 100k+ APs), BFS neighborhoods, the CSR/oracle index, and the full
-// scenario builder.
+// for 100k+ APs), BFS neighborhoods, the CSR and its l-hop queries, and the
+// full scenario builder.
 #include <benchmark/benchmark.h>
+
+#include <vector>
 
 #include "graph/algorithms.h"
 #include "graph/csr.h"
@@ -85,27 +87,12 @@ void BM_CsrBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_CsrBuild)->Arg(10000)->Arg(100000)->Unit(benchmark::kMillisecond);
 
-void BM_HopOracleBuild(benchmark::State& state) {
-  util::Rng rng(7);
-  const auto t = graph::random_geometric(
-      {.num_nodes = static_cast<std::size_t>(state.range(0))}, rng);
-  const auto csr = graph::CsrGraph::build(t.graph);
-  for (auto _ : state) {
-    auto oracle = graph::HopOracle::build(csr);
-    benchmark::DoNotOptimize(oracle.stats().num_leaves);
-  }
-}
-BENCHMARK(BM_HopOracleBuild)
-    ->Arg(10000)
-    ->Arg(100000)
-    ->Unit(benchmark::kMillisecond);
-
 void BM_OracleLHopMembers(benchmark::State& state) {
   util::Rng rng(7);
   const auto t = graph::random_geometric(
       {.num_nodes = static_cast<std::size_t>(state.range(0))}, rng);
   const auto csr = graph::CsrGraph::build(t.graph);
-  const auto oracle = graph::HopOracle::build(csr);
+  const graph::HopOracle oracle(csr);
   graph::NodeId v = 0;
   for (auto _ : state) {
     auto n = oracle.l_hop_members(v, 2);
@@ -115,21 +102,33 @@ void BM_OracleLHopMembers(benchmark::State& state) {
 }
 BENCHMARK(BM_OracleLHopMembers)->Arg(10000)->Arg(100000);
 
-void BM_OracleHopDistance(benchmark::State& state) {
+void BM_OracleHopsToTargets(benchmark::State& state) {
   util::Rng rng(7);
   const auto t = graph::random_geometric(
       {.num_nodes = static_cast<std::size_t>(state.range(0))}, rng);
   const auto csr = graph::CsrGraph::build(t.graph);
-  const auto oracle = graph::HopOracle::build(csr);
+  const graph::HopOracle oracle(csr);
   const auto n = static_cast<graph::NodeId>(t.graph.num_nodes());
-  graph::NodeId u = 0;
+  // Three targets from each source's 2-hop ball: the promotion / latency
+  // shape (standbys sit within l of their active).
+  struct Query {
+    graph::NodeId source;
+    std::vector<graph::NodeId> targets;
+  };
+  std::vector<Query> queries;
+  for (graph::NodeId u = 0; queries.size() < 1024; u = (u + 9973) % n) {
+    const auto ball = oracle.members_within(u, 2);
+    queries.push_back(
+        {u, {ball.front(), ball[ball.size() / 2], ball.back()}});
+  }
+  std::size_t i = 0;
   for (auto _ : state) {
-    auto d = oracle.hop_distance(u, (u * 31 + 17) % n);
-    benchmark::DoNotOptimize(d);
-    u = (u + 9973) % n;
+    const Query& q = queries[i++ % queries.size()];
+    auto d = oracle.hops_to_targets(q.source, q.targets);
+    benchmark::DoNotOptimize(d.data());
   }
 }
-BENCHMARK(BM_OracleHopDistance)->Arg(10000)->Arg(100000);
+BENCHMARK(BM_OracleHopsToTargets)->Arg(10000)->Arg(100000);
 
 void BM_ScenarioBuild(benchmark::State& state) {
   sim::ScenarioParams params;

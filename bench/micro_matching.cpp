@@ -8,7 +8,7 @@
 
 #include "matching/class_matching.h"
 #include "matching/hungarian.h"
-#include "matching/min_cost_flow.h"
+#include "support/min_cost_flow.h"
 #include "mec/reliability.h"
 #include "util/rng.h"
 

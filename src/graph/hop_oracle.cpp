@@ -1,7 +1,6 @@
 #include "graph/hop_oracle.h"
 
 #include <algorithm>
-#include <queue>
 
 namespace mecra::graph {
 
@@ -39,334 +38,11 @@ std::uint32_t next_epoch(Scratch& s) {
 
 }  // namespace
 
-HopOracle HopOracle::build(const CsrGraph& g, const HopOracleOptions& options) {
-  MECRA_CHECK(options.leaf_target >= 2);
-  MECRA_CHECK(options.fanout >= 2);
-  // Confined distances are stored as uint16; a confined path inside a leaf
-  // of at most leaf_target nodes has fewer than leaf_target hops.
-  MECRA_CHECK_MSG(options.leaf_target < 0xFFFF,
-                  "leaf_target must fit the uint16 confined-distance table");
-
-  HopOracle o;
-  o.g_ = &g;
-  o.options_ = options;
-  const std::size_t n = g.num_nodes();
-  o.leaf_of_.assign(n, 0);
-  o.member_index_.assign(n, 0);
-  o.boundary_index_.assign(n, kNone);
-  o.overlay_id_.assign(n, kNone);
-  if (n == 0) return o;
-
-  // ---- Cluster tree: recursive farthest-point partition. ----------------
-  // Same seeding discipline as mec::ShardMap::build: the first seed is the
-  // lowest-id member, each further seed is the member farthest (confined
-  // hop distance, unreachable = infinitely far) from all chosen seeds, ties
-  // to the lowest id; members then join their nearest seed (ties to the
-  // lowest seed index). Children inherit ascending member order, so the
-  // whole partition is a pure function of (g, options).
-  struct Work {
-    std::vector<NodeId> members;
-    std::uint32_t depth;
-  };
-  std::vector<Work> work;
-  {
-    std::vector<NodeId> all(n);
-    for (NodeId v = 0; v < n; ++v) all[v] = v;
-    work.push_back(Work{std::move(all), 0});
-  }
-
-  std::vector<std::uint32_t> in_cluster(n, 0);
-  std::uint32_t cluster_stamp = 0;
-  std::vector<NodeId> bfs_queue;
-  bfs_queue.reserve(n);
-  // Per-seed confined distances, written only for the current cluster's
-  // members (each is re-initialised to kUnreachable before its BFS).
-  std::vector<std::vector<std::uint32_t>> seed_dist(
-      options.fanout, std::vector<std::uint32_t>(n));
-
-  // Confined BFS from `source` over nodes with in_cluster == cluster_stamp.
-  const auto confined_bfs = [&](NodeId source,
-                                std::vector<std::uint32_t>& dist,
-                                std::span<const NodeId> members) {
-    for (NodeId m : members) dist[m] = kUnreachable;
-    bfs_queue.clear();
-    bfs_queue.push_back(source);
-    dist[source] = 0;
-    for (std::size_t head = 0; head < bfs_queue.size(); ++head) {
-      const NodeId u = bfs_queue[head];
-      for (NodeId w : g.neighbors(u)) {
-        if (in_cluster[w] != cluster_stamp || dist[w] != kUnreachable) {
-          continue;
-        }
-        dist[w] = dist[u] + 1;
-        bfs_queue.push_back(w);
-      }
-    }
-  };
-
-  while (!work.empty()) {
-    Work cluster = std::move(work.back());
-    work.pop_back();
-    if (cluster.members.size() <= options.leaf_target) {
-      const auto leaf_id = static_cast<std::uint32_t>(o.leaves_.size());
-      for (std::size_t i = 0; i < cluster.members.size(); ++i) {
-        o.leaf_of_[cluster.members[i]] = leaf_id;
-        o.member_index_[cluster.members[i]] = static_cast<std::uint32_t>(i);
-      }
-      Leaf leaf;
-      leaf.members = std::move(cluster.members);
-      leaf.depth = cluster.depth;
-      o.stats_.tree_depth =
-          std::max<std::size_t>(o.stats_.tree_depth, leaf.depth);
-      o.stats_.max_leaf_size =
-          std::max(o.stats_.max_leaf_size, leaf.members.size());
-      o.leaves_.push_back(std::move(leaf));
-      continue;
-    }
-
-    ++cluster_stamp;
-    for (NodeId m : cluster.members) in_cluster[m] = cluster_stamp;
-
-    std::vector<NodeId> seeds;
-    seeds.push_back(cluster.members.front());
-    confined_bfs(seeds.back(), seed_dist[0], cluster.members);
-    std::vector<std::uint32_t> min_dist(cluster.members.size());
-    for (std::size_t i = 0; i < cluster.members.size(); ++i) {
-      min_dist[i] = seed_dist[0][cluster.members[i]];
-    }
-    while (seeds.size() < options.fanout) {
-      bool found = false;
-      std::size_t farthest = 0;
-      std::uint32_t best = 0;
-      for (std::size_t i = 0; i < cluster.members.size(); ++i) {
-        const std::uint32_t d = min_dist[i];
-        if (d == 0) continue;  // already a seed
-        if (!found || d > best) {  // strictly farther wins; ties keep the
-          farthest = i;            // earlier (lower-id) member
-          best = d;
-          found = true;
-        }
-      }
-      if (!found) break;
-      const NodeId seed = cluster.members[farthest];
-      confined_bfs(seed, seed_dist[seeds.size()], cluster.members);
-      const auto& dist = seed_dist[seeds.size()];
-      for (std::size_t i = 0; i < cluster.members.size(); ++i) {
-        min_dist[i] = std::min(min_dist[i], dist[cluster.members[i]]);
-      }
-      seeds.push_back(seed);
-    }
-
-    std::vector<std::vector<NodeId>> children(seeds.size());
-    for (const NodeId m : cluster.members) {
-      std::size_t best_s = 0;
-      std::uint32_t best_d = seed_dist[0][m];
-      for (std::size_t s = 1; s < seeds.size(); ++s) {
-        if (seed_dist[s][m] < best_d) {
-          best_s = s;
-          best_d = seed_dist[s][m];
-        }
-      }
-      children[best_s].push_back(m);  // ascending order preserved
-    }
-    for (auto& child : children) {
-      if (child.empty()) continue;
-      work.push_back(Work{std::move(child), cluster.depth + 1});
-    }
-  }
-  o.stats_.num_leaves = o.leaves_.size();
-
-  // ---- Boundary detection + overlay node enumeration. -------------------
-  for (NodeId v = 0; v < n; ++v) {
-    for (NodeId w : g.neighbors(v)) {
-      if (o.leaf_of_[w] != o.leaf_of_[v]) {
-        Leaf& leaf = o.leaves_[o.leaf_of_[v]];
-        o.boundary_index_[v] =
-            static_cast<std::uint32_t>(leaf.boundary.size());
-        leaf.boundary.push_back(v);  // ascending: v scanned in order
-        o.overlay_id_[v] = static_cast<std::uint32_t>(o.overlay_nodes_.size());
-        o.overlay_nodes_.push_back(v);
-        break;
-      }
-    }
-  }
-  o.stats_.boundary_nodes = o.overlay_nodes_.size();
-
-  // ---- Leaf-confined member x boundary distance tables. ------------------
-  for (Leaf& leaf : o.leaves_) {
-    if (leaf.boundary.empty()) continue;
-    leaf.conf.assign(leaf.members.size() * leaf.boundary.size(),
-                     kConfUnreachable);
-    const std::uint32_t leaf_id = o.leaf_of_[leaf.members.front()];
-    for (std::size_t b = 0; b < leaf.boundary.size(); ++b) {
-      // BFS confined to this leaf's members, writing column b.
-      bfs_queue.clear();
-      bfs_queue.push_back(leaf.boundary[b]);
-      leaf.conf[o.member_index_[leaf.boundary[b]] * leaf.boundary.size() + b] =
-          0;
-      for (std::size_t head = 0; head < bfs_queue.size(); ++head) {
-        const NodeId u = bfs_queue[head];
-        const std::uint16_t du =
-            leaf.conf[o.member_index_[u] * leaf.boundary.size() + b];
-        for (NodeId w : g.neighbors(u)) {
-          if (o.leaf_of_[w] != leaf_id) continue;
-          auto& dw =
-              leaf.conf[o.member_index_[w] * leaf.boundary.size() + b];
-          if (dw != kConfUnreachable) continue;
-          dw = static_cast<std::uint16_t>(du + 1);
-          bfs_queue.push_back(w);
-        }
-      }
-    }
-    o.stats_.conf_bytes += leaf.conf.size() * sizeof(std::uint16_t);
-  }
-
-  // ---- Cross-leaf overlay edges (CSR; both endpoints are boundary). -----
-  o.overlay_offsets_.assign(o.overlay_nodes_.size() + 1, 0);
-  for (std::size_t i = 0; i < o.overlay_nodes_.size(); ++i) {
-    const NodeId v = o.overlay_nodes_[i];
-    std::uint64_t count = 0;
-    for (NodeId w : g.neighbors(v)) {
-      if (o.leaf_of_[w] != o.leaf_of_[v]) ++count;
-    }
-    o.overlay_offsets_[i + 1] = o.overlay_offsets_[i] + count;
-  }
-  o.overlay_targets_.resize(o.overlay_offsets_.back());
-  for (std::size_t i = 0; i < o.overlay_nodes_.size(); ++i) {
-    const NodeId v = o.overlay_nodes_[i];
-    std::uint64_t at = o.overlay_offsets_[i];
-    for (NodeId w : g.neighbors(v)) {
-      if (o.leaf_of_[w] != o.leaf_of_[v]) {
-        o.overlay_targets_[at++] = o.overlay_id_[w];
-      }
-    }
-  }
-  o.stats_.overlay_edges = o.overlay_targets_.size();
-  return o;
-}
-
-std::uint32_t HopOracle::hop_distance(NodeId u, NodeId v) const {
-  MECRA_CHECK(g_ != nullptr);
-  MECRA_CHECK(u < num_nodes() && v < num_nodes());
-  if (u == v) return 0;
-
-  const std::uint32_t lu = leaf_of_[u];
-  const std::uint32_t lv = leaf_of_[v];
-  const Leaf& leaf_u = leaves_[lu];
-  const Leaf& leaf_v = leaves_[lv];
-  std::uint32_t best = kUnreachable;
-
-  Scratch& s = local_scratch(num_nodes());
-
-  // Leaf-BFS fallback: when u and v share a leaf, the confined distance is
-  // one bounded BFS over at most leaf_target nodes.
-  if (lu == lv) {
-    const std::uint32_t epoch = next_epoch(s);
-    s.queue.clear();
-    s.queue.push_back(u);
-    s.stamp[u] = epoch;
-    s.dist[u] = 0;
-    for (std::size_t head = 0; head < s.queue.size(); ++head) {
-      const NodeId x = s.queue[head];
-      if (x == v) {
-        best = s.dist[x];
-        break;
-      }
-      for (NodeId w : g_->neighbors(x)) {
-        if (leaf_of_[w] != lu || s.stamp[w] == epoch) continue;
-        s.stamp[w] = epoch;
-        s.dist[w] = s.dist[x] + 1;
-        s.queue.push_back(w);
-      }
-    }
-  }
-
-  if (leaf_u.boundary.empty()) return best;  // no path leaves u's leaf
-
-  // Overlay Dijkstra: dist[b] = exact hop distance from u to boundary node
-  // b. Seeded with u's confined distances to its own leaf boundary;
-  // relaxations are the cross-leaf edges (weight 1) plus each leaf's
-  // implicit boundary clique (weights from the confined tables). Whenever a
-  // boundary node of v's leaf settles, dist + conf(v, b) caps the answer.
-  const std::uint32_t epoch = next_epoch(s);
-  using Item = std::uint64_t;  // (dist << 32) | overlay id: pops stay sorted
-  std::priority_queue<Item, std::vector<Item>, std::greater<>> heap;
-  const auto relax = [&](std::uint32_t id, std::uint32_t d) {
-    if (d >= best) return;  // can never improve the answer
-    if (s.stamp[id] == epoch && s.dist[id] <= d) return;
-    s.stamp[id] = epoch;
-    s.dist[id] = d;
-    heap.push((static_cast<std::uint64_t>(d) << 32) | id);
-  };
-  for (std::size_t b = 0; b < leaf_u.boundary.size(); ++b) {
-    const std::uint16_t c = conf_at(leaf_u, member_index_[u],
-                                    static_cast<std::uint32_t>(b));
-    if (c == kConfUnreachable) continue;
-    relax(overlay_id_[leaf_u.boundary[b]], c);
-  }
-  while (!heap.empty()) {
-    const Item top = heap.top();
-    heap.pop();
-    const auto d = static_cast<std::uint32_t>(top >> 32);
-    const auto id = static_cast<std::uint32_t>(top & 0xFFFFFFFFu);
-    if (d >= best) break;  // every remaining path is at least this long
-    if (s.stamp[id] != epoch || s.dist[id] != d) continue;  // stale entry
-    const NodeId b = overlay_nodes_[id];
-    const std::uint32_t lb = leaf_of_[b];
-    const Leaf& leaf_b = leaves_[lb];
-    if (lb == lv) {
-      const std::uint16_t c =
-          conf_at(leaf_v, member_index_[v], boundary_index_[b]);
-      if (c != kConfUnreachable && d + c < best) best = d + c;
-    }
-    // Cross-leaf edges.
-    for (std::uint64_t e = overlay_offsets_[id]; e < overlay_offsets_[id + 1];
-         ++e) {
-      relax(overlay_targets_[e], d + 1);
-    }
-    // Implicit boundary clique of b's leaf.
-    const std::uint32_t row = member_index_[b];
-    for (std::size_t b2 = 0; b2 < leaf_b.boundary.size(); ++b2) {
-      const std::uint16_t c =
-          conf_at(leaf_b, row, static_cast<std::uint32_t>(b2));
-      if (c == kConfUnreachable || c == 0) continue;
-      relax(overlay_id_[leaf_b.boundary[b2]], d + c);
-    }
-  }
-  return best;
-}
-
-bool HopOracle::within_l(NodeId u, NodeId v, std::uint32_t l) const {
-  MECRA_CHECK(g_ != nullptr);
-  MECRA_CHECK(u < num_nodes() && v < num_nodes());
-  if (u == v) return true;
-  if (l == 0) return false;
-
-  Scratch& s = local_scratch(num_nodes());
-  const std::uint32_t epoch = next_epoch(s);
-  s.queue.clear();
-  s.queue.push_back(u);
-  s.stamp[u] = epoch;
-  s.dist[u] = 0;
-  for (std::size_t head = 0; head < s.queue.size(); ++head) {
-    const NodeId x = s.queue[head];
-    if (s.dist[x] >= l) break;  // queue is sorted by distance
-    for (NodeId w : g_->neighbors(x)) {
-      if (s.stamp[w] == epoch) continue;
-      if (w == v) return true;
-      s.stamp[w] = epoch;
-      s.dist[w] = s.dist[x] + 1;
-      s.queue.push_back(w);
-    }
-  }
-  return false;
-}
-
 std::vector<NodeId> HopOracle::members_within(NodeId v,
                                               std::uint32_t l) const {
-  MECRA_CHECK(g_ != nullptr);
-  MECRA_CHECK(v < num_nodes());
-  Scratch& s = local_scratch(num_nodes());
+  const CsrGraph& g = csr();
+  MECRA_CHECK(v < g.num_nodes());
+  Scratch& s = local_scratch(g.num_nodes());
   const std::uint32_t epoch = next_epoch(s);
   s.queue.clear();
   s.queue.push_back(v);
@@ -375,7 +51,7 @@ std::vector<NodeId> HopOracle::members_within(NodeId v,
   for (std::size_t head = 0; head < s.queue.size(); ++head) {
     const NodeId x = s.queue[head];
     if (s.dist[x] >= l) break;  // queue is sorted by distance
-    for (NodeId w : g_->neighbors(x)) {
+    for (NodeId w : g.neighbors(x)) {
       if (s.stamp[w] == epoch) continue;
       s.stamp[w] = epoch;
       s.dist[w] = s.dist[x] + 1;
@@ -395,16 +71,16 @@ std::vector<NodeId> HopOracle::l_hop_members(NodeId v, std::uint32_t l) const {
 
 std::vector<std::uint32_t> HopOracle::hops_to_targets(
     NodeId source, std::span<const NodeId> targets) const {
-  MECRA_CHECK(g_ != nullptr);
-  MECRA_CHECK(source < num_nodes());
+  const CsrGraph& g = csr();
+  MECRA_CHECK(source < g.num_nodes());
   std::vector<std::uint32_t> out(targets.size(), kUnreachable);
   if (targets.empty()) return out;
 
-  Scratch& s = local_scratch(num_nodes());
+  Scratch& s = local_scratch(g.num_nodes());
   const std::uint32_t epoch = next_epoch(s);
   std::size_t remaining = 0;
   for (const NodeId t : targets) {
-    MECRA_CHECK(t < num_nodes());
+    MECRA_CHECK(t < g.num_nodes());
     if (s.mark[t] != epoch) {
       s.mark[t] = epoch;
       ++remaining;
@@ -417,7 +93,7 @@ std::vector<std::uint32_t> HopOracle::hops_to_targets(
   if (s.mark[source] == epoch) --remaining;
   for (std::size_t head = 0; head < s.queue.size() && remaining > 0; ++head) {
     const NodeId x = s.queue[head];
-    for (NodeId w : g_->neighbors(x)) {
+    for (NodeId w : g.neighbors(x)) {
       if (s.stamp[w] == epoch) continue;
       s.stamp[w] = epoch;
       s.dist[w] = s.dist[x] + 1;
@@ -429,16 +105,6 @@ std::vector<std::uint32_t> HopOracle::hops_to_targets(
     if (s.stamp[targets[i]] == epoch) out[i] = s.dist[targets[i]];
   }
   return out;
-}
-
-std::span<const NodeId> HopOracle::leaf_members(std::uint32_t leaf) const {
-  MECRA_CHECK(leaf < leaves_.size());
-  return leaves_[leaf].members;
-}
-
-std::span<const NodeId> HopOracle::leaf_boundary(std::uint32_t leaf) const {
-  MECRA_CHECK(leaf < leaves_.size());
-  return leaves_[leaf].boundary;
 }
 
 }  // namespace mecra::graph

@@ -1,51 +1,31 @@
-// Hierarchical hop-distance / neighbourhood oracle over a CsrGraph.
+// Bounded l-hop queries over a CsrGraph.
 //
-// The paper's placement rules are all distance predicates: every backup of
-// a primary at v must sit in N_l^+(v) (Section 4.2), promotion picks the
-// nearest standby, latency reports count hops. Computing those with one
-// full BFS per query is O(V + E) time and one O(V) allocation per call —
-// the dominant admission cost beyond a few hundred APs. The oracle answers
-// the same queries exactly (bit-identical to BFS) with work proportional
-// to the answer, in two tiers:
+// The paper's placement rules are all l-hop predicates: every backup of a
+// primary at v must sit in N_l^+(v) (Section 4.2), and promotion and the
+// update-latency report count hops from an active to its standbys. A full
+// BFS per query is O(V + E) time and one O(V) allocation per call, the
+// dominant admission cost beyond a few hundred APs. The oracle answers the
+// same queries exactly (bit-identical to BFS) with a bounded BFS over the
+// packed CSR arrays and epoch-stamped scratch: O(|ball(v, l)|) time for
+// `l_hop_members` / `members_within`, and for `hops_to_targets` a walk
+// that stops once every target is settled. Steady-state queries allocate
+// only their result and never touch the other V - |ball| nodes.
 //
-//  * Local queries (`l_hop_members`, `members_within`, `within_l`,
-//    `hops_to_targets`) run a bounded BFS over the packed CSR arrays with
-//    epoch-stamped scratch: O(|ball(v, l)|) time, zero steady-state
-//    allocation, never touching the other V - |ball| nodes.
+// There is no index: the oracle is a view of the CSR and costs nothing to
+// build. tests/csr_oracle_test.cpp checks every query against the legacy
+// adjacency-list BFS over random, generated and disconnected topologies.
 //
-//  * Global point-to-point queries (`hop_distance`) use a cluster tree: a
-//    recursive farthest-point partition of the node set (the ShardMap
-//    seeding discipline) down to leaves of <= leaf_target nodes. Each leaf
-//    stores its boundary nodes (members with an edge leaving the leaf) and
-//    a members x boundary table of LEAF-CONFINED hop distances. Boundary
-//    nodes form an overlay: cross-leaf edges keep weight 1, and within a
-//    leaf any two boundary nodes are implicitly connected by their confined
-//    distance. A Dijkstra over that overlay — seeded with conf(u, b) for
-//    u's leaf boundary, read out through conf(v, b') on v's — returns the
-//    EXACT global hop distance (shortest paths decompose at boundary
-//    crossings; each intra-leaf segment is confined by construction, so
-//    the overlay preserves all boundary-to-boundary distances). A bounded
-//    BFS inside the leaf covers the purely leaf-confined case when u and v
-//    share a leaf. Cost: O(tree depth) to locate the leaves plus the
-//    overlay search, whose relaxations are per-leaf boundary cliques
-//    (the "boundary squared" term) instead of the whole graph.
+// Thread safety: queries use thread_local scratch and are safe from any
+// thread. Lifetime: the oracle keeps a pointer to the CsrGraph it views and
+// must not outlive it.
 //
-// Exactness, not approximation: every query returns the same value a fresh
-// BFS would (asserted by tests/csr_oracle_test.cpp over random, generated,
-// and disconnected topologies).
-//
-// Thread safety: immutable after build(); queries use thread_local scratch
-// and are safe from any thread. Lifetime: the oracle keeps a pointer to
-// the CsrGraph it was built from and must not outlive it.
-//
-// Lock discipline: the shared state (cluster tree, boundary tables, CSR
-// pointer) is published by build() and never written again, so concurrent
-// queries need no mutex — the epoch-stamped thread_local scratch is the
-// ONLY mutable state and is never shared. Keep it that way: any field a
-// query could write must either stay thread_local or become
-// MECRA_GUARDED_BY a util::Mutex (util/thread_annotations.h) so the clang
-// -Wthread-safety build proves the new protocol instead of TSan sampling
-// it.
+// Lock discipline: the only shared state is the CSR pointer, set at
+// construction and never written again, so concurrent queries need no
+// mutex. The epoch-stamped thread_local scratch is the ONLY mutable state
+// and is never shared. Keep it that way: any field a query could write must
+// either stay thread_local or become MECRA_GUARDED_BY a util::Mutex
+// (util/thread_annotations.h) so the clang -Wthread-safety build proves the
+// new protocol instead of TSan sampling it.
 #pragma once
 
 #include <cstdint>
@@ -57,44 +37,27 @@
 
 namespace mecra::graph {
 
-struct HopOracleOptions {
-  /// Maximum nodes per leaf cluster; larger leaves shrink the overlay but
-  /// grow the confined tables and the leaf-BFS fallback.
-  std::size_t leaf_target = 64;
-  /// Children per internal tree node (farthest-point seeds per split).
-  std::size_t fanout = 8;
-};
-
-/// Build/shape counters for benches and capacity planning.
+/// Index footprint. The oracle builds no index, so every field reads 0.
+/// Kept only because the benchmark harness (perfbench) reports
+/// `stats().conf_bytes` as `graph.oracle_mb`; it goes with the next change
+/// to the benchmark.
 struct HopOracleStats {
-  std::size_t num_leaves = 0;
-  std::size_t boundary_nodes = 0;
-  std::size_t overlay_edges = 0;  // cross-leaf edges (directed)
-  std::size_t tree_depth = 0;
-  std::size_t max_leaf_size = 0;
-  std::size_t conf_bytes = 0;  // total confined-table footprint
+  std::size_t conf_bytes = 0;
 };
 
 class HopOracle {
  public:
   HopOracle() = default;
+  /// A view of `g`, which must outlive the oracle.
+  explicit HopOracle(const CsrGraph& g) : g_(&g) {}
 
-  /// Builds the cluster tree + boundary overlay for `g`. Deterministic:
-  /// a pure function of (g, options). `g` must outlive the oracle.
-  [[nodiscard]] static HopOracle build(const CsrGraph& g,
-                                       const HopOracleOptions& options = {});
-
-  [[nodiscard]] std::size_t num_nodes() const noexcept {
-    return leaf_of_.size();
+  [[nodiscard]] std::size_t num_nodes() const { return csr().num_nodes(); }
+  /// Always all zeros; kept only for the benchmark (see HopOracleStats).
+  [[nodiscard]] HopOracleStats stats() const noexcept { return {}; }
+  [[nodiscard]] const CsrGraph& csr() const {
+    MECRA_CHECK(g_ != nullptr);
+    return *g_;
   }
-  [[nodiscard]] const HopOracleStats& stats() const noexcept { return stats_; }
-  [[nodiscard]] const CsrGraph& csr() const noexcept { return *g_; }
-
-  /// Exact hop distance between u and v (kUnreachable when disconnected).
-  [[nodiscard]] std::uint32_t hop_distance(NodeId u, NodeId v) const;
-
-  /// True when v lies within `l` hops of `u` (u itself counts at 0 hops).
-  [[nodiscard]] bool within_l(NodeId u, NodeId v, std::uint32_t l) const;
 
   /// The paper's N_l(v): nodes within `l` hops EXCLUDING v, ascending.
   /// Bit-identical to graph::l_hop_neighbors. l == 0 yields {}.
@@ -111,51 +74,8 @@ class HopOracle {
   [[nodiscard]] std::vector<std::uint32_t> hops_to_targets(
       NodeId source, std::span<const NodeId> targets) const;
 
-  /// Leaf cluster id of v (dense, [0, stats().num_leaves)).
-  [[nodiscard]] std::uint32_t leaf_of(NodeId v) const {
-    MECRA_CHECK(v < num_nodes());
-    return leaf_of_[v];
-  }
-
-  /// Members of leaf cluster `leaf`, ascending node id.
-  [[nodiscard]] std::span<const NodeId> leaf_members(std::uint32_t leaf) const;
-  /// Boundary nodes of leaf cluster `leaf`, ascending node id.
-  [[nodiscard]] std::span<const NodeId> leaf_boundary(std::uint32_t leaf) const;
-
  private:
-  static constexpr std::uint32_t kNone = 0xFFFFFFFFu;
-  static constexpr std::uint16_t kConfUnreachable = 0xFFFFu;
-
-  struct Leaf {
-    std::vector<NodeId> members;   // ascending
-    std::vector<NodeId> boundary;  // ascending, subset of members
-    /// Leaf-confined hop distances, members.size() x boundary.size(),
-    /// row-major by member index; kConfUnreachable when the confined walk
-    /// does not exist (the global one may still, via the overlay).
-    std::vector<std::uint16_t> conf;
-    std::uint32_t depth = 0;
-  };
-
-  [[nodiscard]] std::uint16_t conf_at(const Leaf& leaf, std::uint32_t member,
-                                      std::uint32_t boundary) const {
-    return leaf.conf[member * leaf.boundary.size() + boundary];
-  }
-
   const CsrGraph* g_ = nullptr;
-  HopOracleOptions options_;
-  HopOracleStats stats_;
-
-  std::vector<std::uint32_t> leaf_of_;        // per node
-  std::vector<std::uint32_t> member_index_;   // index in leaf members
-  std::vector<std::uint32_t> boundary_index_; // index in leaf boundary, kNone
-  std::vector<std::uint32_t> overlay_id_;     // dense boundary id, kNone
-  std::vector<Leaf> leaves_;
-
-  // Cross-leaf overlay edges in CSR form (targets are overlay ids; every
-  // cross edge has hop weight 1, so no weight array is needed).
-  std::vector<NodeId> overlay_nodes_;           // global id per overlay id
-  std::vector<std::uint64_t> overlay_offsets_;  // size overlay_nodes_ + 1
-  std::vector<std::uint32_t> overlay_targets_;
 };
 
 }  // namespace mecra::graph

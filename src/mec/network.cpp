@@ -17,10 +17,9 @@ MecNetwork::MecNetwork(graph::Graph topology, std::vector<double> capacity)
     MECRA_CHECK_MSG(capacity_[v] >= 0.0, "capacities must be non-negative");
     if (capacity_[v] > 0.0) cloudlets_.push_back(v);
   }
-  auto csr = std::make_shared<graph::CsrGraph>(graph::CsrGraph::build(topology_));
-  oracle_ = std::make_shared<const graph::HopOracle>(
-      graph::HopOracle::build(*csr));
-  csr_ = std::move(csr);
+  csr_ = std::make_shared<const graph::CsrGraph>(
+      graph::CsrGraph::build(topology_));
+  oracle_ = graph::HopOracle(*csr_);
 }
 
 double MecNetwork::usage_ratio(graph::NodeId v) const {
@@ -81,7 +80,7 @@ double MecNetwork::total_residual() const {
 std::vector<graph::NodeId> MecNetwork::cloudlets_within(
     graph::NodeId v, std::uint32_t l) const {
   MECRA_CHECK(v < num_nodes());
-  // Bounded oracle walk: O(|ball(v, l)|) instead of a full-network BFS,
+  // Bounded BFS: O(|ball(v, l)|) instead of a full-network BFS,
   // bit-identical to filtering bfs_hops (asserted in csr_oracle_test).
   const auto ball = oracle().members_within(v, l);
   std::vector<graph::NodeId> out;

@@ -68,12 +68,11 @@ class MecNetwork {
     return *csr_;
   }
 
-  /// Hierarchical hop-distance/neighbourhood oracle over csr(); answers
-  /// N_l(v) / within-l / point-to-point hop queries bit-identically to BFS
-  /// (see graph/hop_oracle.h). Copies of the network share it.
+  /// Bounded l-hop queries over csr(): N_l(v) balls and hops to a target
+  /// set, bit-identical to BFS (see graph/hop_oracle.h).
   [[nodiscard]] const graph::HopOracle& oracle() const {
-    MECRA_CHECK_MSG(oracle_ != nullptr, "network has no topology");
-    return *oracle_;
+    MECRA_CHECK_MSG(csr_ != nullptr, "network has no topology");
+    return oracle_;
   }
   [[nodiscard]] std::size_t num_nodes() const noexcept {
     return topology_.num_nodes();
@@ -154,11 +153,11 @@ class MecNetwork {
 
  private:
   graph::Graph topology_;
-  // Immutable derived structures, shared (not deep-copied) between copies
-  // of the network: the topology never changes after construction, so every
-  // copy may serve distance queries from the same index.
+  // Immutable CSR view, shared (not deep-copied) between copies of the
+  // network: the topology never changes after construction. oracle_ points
+  // into it, so copies and moves keep a valid view.
   std::shared_ptr<const graph::CsrGraph> csr_;
-  std::shared_ptr<const graph::HopOracle> oracle_;
+  graph::HopOracle oracle_;
   std::vector<double> capacity_;
   std::vector<double> residual_;
   std::vector<graph::NodeId> cloudlets_;

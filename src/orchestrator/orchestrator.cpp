@@ -489,7 +489,38 @@ void Orchestrator::promote_for_position(Service& svc,
       best_hops = h;
     }
   }
-  if (best != nullptr) best->role = InstanceRole::kActive;
+  if (best == nullptr) return;
+  best->role = InstanceRole::kActive;
+
+  // The remaining standbys were placed within l of the OLD active; any now
+  // beyond l of the promoted one breaks the paper's locality rule. Release
+  // them (as teardown does) and let the caller's refresh_state and the
+  // controller's top-up re-place redundancy within l.
+  const graph::NodeId active_at = best->cloudlet;
+  std::vector<InstanceId> others;
+  standby_at.clear();
+  for (const Instance* inst : standbys) {
+    if (inst == best) continue;
+    others.push_back(inst->id);
+    standby_at.push_back(inst->cloudlet);
+  }
+  const auto from_active =
+      network_.oracle().hops_to_targets(active_at, standby_at);
+  std::vector<InstanceId> released;
+  for (std::size_t i = 0; i < others.size(); ++i) {
+    if (from_active[i] > options_.l_hops) released.push_back(others[i]);
+  }
+  if (released.empty()) return;
+  const double demand =
+      catalog_.function(svc.request.chain[chain_pos]).cpu_demand;
+  std::erase_if(svc.instances, [&](const Instance& inst) {
+    if (std::find(released.begin(), released.end(), inst.id) ==
+        released.end()) {
+      return false;
+    }
+    network_.release(inst.cloudlet, demand);
+    return true;
+  });
 }
 
 std::optional<InstanceId> Orchestrator::fail_instance(ServiceId service_id,

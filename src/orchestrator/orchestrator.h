@@ -237,6 +237,10 @@ class Orchestrator {
   /// Kills one instance. If it was active and a standby for the same
   /// position is running, the standby closest (in hops) to the failed
   /// instance's cloudlet is promoted; returns the promoted instance id.
+  /// The position's other running standbys that lie more than l hops from
+  /// the promoted active are released (capacity returned, instance
+  /// dropped), so every standby stays within l of its active; reaugment()
+  /// re-places the lost redundancy.
   std::optional<InstanceId> fail_instance(ServiceId service, InstanceId inst);
 
   /// Kills every running instance hosted at `v` (across all services) and

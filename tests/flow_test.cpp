@@ -1,7 +1,7 @@
 // Unit tests for the generic min-cost max-flow solver.
 #include <gtest/gtest.h>
 
-#include "matching/min_cost_flow.h"
+#include "support/min_cost_flow.h"
 #include "util/check.h"
 
 namespace mecra::matching {

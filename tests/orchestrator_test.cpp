@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <limits>
 
+#include "graph/algorithms.h"
 #include "graph/topology.h"
 #include "orchestrator/orchestrator.h"
 
@@ -349,6 +350,62 @@ TEST(Orchestrator, PromotionBreaksHopTiesByLowestInstanceId) {
     ASSERT_TRUE(promoted.has_value());
     EXPECT_EQ(*promoted, lowest_standby);
   }
+}
+
+TEST(Orchestrator, PromotionReleasesStandbysBeyondLOfTheNewActive) {
+  // Path 0-1-2-3, l = 1. The active sits at 1 with standbys at 0 (lower
+  // id) and 2, both one hop away. Its failure promotes the standby at 0
+  // (hop tie, lowest id); the standby at 2 is then two hops from the new
+  // active and must be released, returning exactly its demand.
+  constexpr double kDemand = 300.0;
+  mec::MecNetwork network(graph::path_graph(4),
+                          {1000.0, 1000.0, 1000.0, 1000.0});
+  mec::VnfCatalog catalog({{0, "a", 0.8, kDemand}});
+  Orchestrator orch(network, catalog, {});
+  Service svc;
+  svc.id = 7;
+  svc.request.chain = {0};
+  svc.request.expectation = 0.99;
+  svc.instances = {
+      {1, 0, 1, InstanceRole::kActive, InstanceState::kRunning},
+      {2, 0, 0, InstanceRole::kStandby, InstanceState::kRunning},
+      {3, 0, 2, InstanceRole::kStandby, InstanceState::kRunning}};
+  orch.restore_service(svc, /*consume_capacity=*/true);
+  (void)orch.refresh_state(svc.id);
+  const double residual_before = orch.network().residual(2);
+
+  const auto promoted = orch.fail_instance(svc.id, 1);
+  ASSERT_TRUE(promoted.has_value());
+  EXPECT_EQ(*promoted, 2u);
+  EXPECT_DOUBLE_EQ(orch.network().residual(2), residual_before + kDemand);
+
+  const auto standbys_within_l = [&] {
+    const Service& s = orch.service(svc.id);
+    graph::NodeId active_at = 0;
+    for (const auto& inst : s.instances) {
+      if (inst.state == InstanceState::kRunning &&
+          inst.role == InstanceRole::kActive) {
+        active_at = inst.cloudlet;
+      }
+    }
+    const auto hops = graph::bfs_hops(orch.network().topology(), active_at);
+    for (const auto& inst : s.instances) {
+      if (inst.state == InstanceState::kRunning &&
+          inst.role == InstanceRole::kStandby && hops[inst.cloudlet] > 1) {
+        return false;
+      }
+    }
+    return true;
+  };
+  EXPECT_TRUE(standbys_within_l());
+  for (const auto& inst : orch.service(svc.id).instances) {
+    EXPECT_NE(inst.id, 3u) << "the far standby must be dropped";
+  }
+  EXPECT_EQ(orch.service(svc.id).state, ServiceState::kDegraded);
+
+  // The top-up re-places redundancy within l of the new active.
+  EXPECT_GT(orch.reaugment(svc.id), 0u);
+  EXPECT_TRUE(standbys_within_l());
 }
 
 TEST(Orchestrator, ReaugmentAndReviveSkipDownCloudlets) {

@@ -12,7 +12,7 @@
 #include "ilp/branch_and_bound.h"
 #include "lp/simplex.h"
 #include "matching/hungarian.h"
-#include "matching/min_cost_flow.h"
+#include "support/min_cost_flow.h"
 #include "test_fixtures.h"
 
 namespace mecra {

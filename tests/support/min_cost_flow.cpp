@@ -1,4 +1,4 @@
-#include "matching/min_cost_flow.h"
+#include "support/min_cost_flow.h"
 
 #include <algorithm>
 #include <limits>

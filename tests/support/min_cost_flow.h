@@ -1,8 +1,8 @@
 // Generic min-cost max-flow (successive shortest paths with potentials).
 //
-// Used as an independent cross-validation twin for the Hungarian matcher
-// (tests reduce matching instances to flow and compare), and available to
-// downstream users who need weighted assignment beyond bipartite matching.
+// Test and bench support only: an independent cross-validation twin for the
+// Hungarian matcher (tests reduce matching instances to flow and compare;
+// micro_matching times both). Nothing under src/ uses it.
 // Handles negative arc costs (no negative cycles) via one Bellman–Ford
 // potential initialization, then Dijkstra per augmentation.
 #pragma once
